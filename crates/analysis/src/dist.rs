@@ -186,8 +186,10 @@ fn expand_map(
     let m_b = beacons.n_beacons();
     let times = beacons.times();
     let t_k = times[k];
-    let distinct = lcm(beacons.period().as_nanos(), period_c.as_nanos())
-        .map(|l| (l / beacons.period().as_nanos()).saturating_mul(m_b as u64))
+    let distinct = beacons
+        .period()
+        .checked_lcm(period_c)
+        .map(|l| (l / beacons.period()).saturating_mul(m_b as u64))
         .unwrap_or(u64::MAX);
     let mut rel = Vec::new();
     let mut covered = IntervalSet::empty();
@@ -225,18 +227,6 @@ fn model_offsets(
         ));
     }
     Ok(base)
-}
-
-fn lcm(a: u64, b: u64) -> Option<u64> {
-    fn gcd(mut a: u64, mut b: u64) -> u64 {
-        while b != 0 {
-            let t = a % b;
-            a = b;
-            b = t;
-        }
-        a
-    }
-    (a / gcd(a, b)).checked_mul(b)
 }
 
 #[cfg(test)]

@@ -148,6 +148,20 @@ impl Tick {
         self.0.div_ceil(rhs.0)
     }
 
+    /// Least common multiple of two durations — the joint period of two
+    /// periodic processes; `None` when either is zero or the result
+    /// overflows.
+    pub fn checked_lcm(self, rhs: Tick) -> Option<Tick> {
+        if self.is_zero() || rhs.is_zero() {
+            return None;
+        }
+        let (mut a, mut b) = (self.0, rhs.0);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        (self.0 / a).checked_mul(rhs.0).map(Tick)
+    }
+
     /// Absolute difference.
     #[inline]
     pub fn abs_diff(self, rhs: Tick) -> Tick {
@@ -312,6 +326,10 @@ mod tests {
         assert_eq!(Tick(3).saturating_sub(Tick(5)), Tick::ZERO);
         assert_eq!(Tick::MAX.saturating_add(Tick(1)), Tick::MAX);
         assert_eq!(Tick::MAX.checked_add(Tick(1)), None);
+        assert_eq!(Tick(4).checked_lcm(Tick(6)), Some(Tick(12)));
+        assert_eq!(Tick(7).checked_lcm(Tick(13)), Some(Tick(91)));
+        assert_eq!(Tick(0).checked_lcm(Tick(13)), None);
+        assert_eq!(Tick::MAX.checked_lcm(Tick(2)), None);
     }
 
     #[test]

@@ -25,11 +25,14 @@
 //! cluster has discovered all its ordered pairs (under
 //! [`NetSimulator::stop_when_all_discovered`]), its remaining events are
 //! discarded without advancing the clock, which keeps a whole-cohort run
-//! bit-identical to per-shard runs merged by [`crate::shard`].
+//! bit-identical to per-shard runs merged by [`crate::shard`]. Cohorts
+//! whose nodes all repeat exactly skip their steady tails whole periods
+//! at a time, with identical reports (the `steady` module).
 
 use crate::event::{EventKind, EventQueue};
 use crate::metrics::CohortReport;
 use crate::node::{NodeArena, NodeSpec};
+use crate::steady::{FastForward, Verdict};
 use nd_core::interval::{Interval, IntervalSet};
 use nd_core::time::Tick;
 use nd_obs::Progress;
@@ -186,9 +189,12 @@ pub struct NetSimulator {
     op_scratch: Vec<Op>,
     /// Scratch: collider record indices per `TxEnd`.
     colliders: Vec<usize>,
-    /// Scratch: nodes whose own expanded transmission covers the current
-    /// packet start (half-duplex blanking, start-overlap model).
-    blankers: Vec<u32>,
+    /// Half-duplex blanking marks (start-overlap model): node `i` is
+    /// blanked for the current `TxEnd` iff `blank_stamp[i] == blank_epoch`.
+    /// Bumping the epoch per scan clears every mark in O(1), and the
+    /// per-receiver test is one load instead of a walk over the blankers.
+    blank_stamp: Vec<u32>,
+    blank_epoch: u32,
     /// Monotone lower bound (absolute record index) for the collider /
     /// blanker scan: packet starts are nondecreasing across `TxEnd`s, so
     /// records wholly before one packet are wholly before every later one.
@@ -198,6 +204,16 @@ pub struct NetSimulator {
     /// non-start overlap model); the start-model hot path derives
     /// blanking from the shared transmission records instead.
     need_own_tx: bool,
+    /// Ordered pairs discovered so far (first contacts).
+    first_contacts: u64,
+    /// Profiling tallies: candidate listen windows and colliders seen per
+    /// `TxEnd`, flushed with the event batches.
+    txend_candidates: u64,
+    txend_colliders: u64,
+    /// Skip steady periods when the cohort is eligible (see
+    /// [`crate::steady`]); only tests turn it off, to get the full
+    /// simulation as a reference.
+    fast_forward: bool,
 }
 
 impl NetSimulator {
@@ -241,9 +257,14 @@ impl NetSimulator {
             cand: Vec::new(),
             op_scratch: Vec::new(),
             colliders: Vec::new(),
-            blankers: Vec::new(),
+            blank_stamp: vec![0; n],
+            blank_epoch: 0,
             collider_search: 0,
             need_own_tx,
+            first_contacts: 0,
+            txend_candidates: 0,
+            txend_colliders: 0,
+            fast_forward: true,
         }
     }
 
@@ -270,6 +291,13 @@ impl NetSimulator {
         self.queue = EventQueue::new_heap();
     }
 
+    /// Simulate every period even when the cohort could be fast-forwarded:
+    /// the reference the fast-forward equivalence suite compares against.
+    #[cfg(test)]
+    pub(crate) fn full_simulation(&mut self) {
+        self.fast_forward = false;
+    }
+
     /// Run to completion and return the cohort report.
     ///
     /// The event loop is a profiling hook: processed events are flushed
@@ -280,10 +308,24 @@ impl NetSimulator {
     /// (`netsim.heap_depth_max` on the reference-heap path), the
     /// end-of-run rate to `netsim.events_per_sec`, and (for standalone
     /// runs — the sweep pool's display takes priority inside a sweep)
-    /// simulated time drives a stderr progress line toward `t_end`. None
-    /// of it runs unless observability is enabled, and none of it feeds
-    /// back into the simulation.
-    pub fn run(mut self) -> CohortReport {
+    /// simulated time drives a stderr progress line toward `t_end`. The
+    /// same batches carry `netsim.txend.candidates` and
+    /// `netsim.txend.colliders` (listen windows and colliding records seen
+    /// per `TxEnd`); the final flush adds `netsim.ff.periods_skipped` and
+    /// `netsim.ff.events_skipped`. None of it runs unless observability is
+    /// enabled, and none of it feeds back into the simulation.
+    ///
+    /// Eligible cohorts skip whole steady periods once one passes without
+    /// a first contact (the `steady` module); the report is field-identical
+    /// to the full simulation, and its `events` counts what the full run
+    /// would have handled, while `netsim.events` counts events handled.
+    pub fn run(self) -> CohortReport {
+        self.run_counted().0
+    }
+
+    /// [`NetSimulator::run`], also returning how many whole periods the
+    /// fast-forward skipped.
+    pub(crate) fn run_counted(mut self) -> (CohortReport, u64) {
         assert_eq!(
             self.nodes.len(),
             self.topo.len(),
@@ -295,14 +337,20 @@ impl NetSimulator {
                 self.queue.push(leave, EventKind::Leave(i));
             }
         }
+        let mut ff = self.fast_forward_plan();
+        // the next checkpoint, mirrored here so the hot loop pays one
+        // comparison per event
+        let mut checkpoint_at = ff.as_ref().map_or(Tick::MAX, |f| f.next);
         // Flush-batched so the hot loop touches no shared atomics; 2^16
         // events ≈ a few ms of work, plenty fine-grained for profiling.
         const FLUSH_EVERY: u64 = 1 << 16;
         let progress = Progress::new("netsim", self.cfg.t_end.0);
         let observing = nd_obs::metrics::enabled() || progress.is_active();
         let wall_start = observing.then(std::time::Instant::now);
+        // events handled; a fast-forward adds what it skipped separately,
+        // so this never jumps and the `==` batch test below never starves
         let mut total_events: u64 = 0;
-        let mut flushed: u64 = 0;
+        let mut flushed = Flushed::default();
         let mut depth_high: usize = 0;
         // only the reference heap needs per-event depth sampling — the
         // wheel tracks its own high-water internally
@@ -316,7 +364,7 @@ impl NetSimulator {
             // fire any packet end due before the next queued event; its
             // reserved seq makes the (time, seq) order identical to
             // having scheduled it
-            if let Some(&(end, seq, idx)) = self.pending_ends.front() {
+            if let Some(&(mut end, seq, idx)) = self.pending_ends.front() {
                 if self
                     .queue
                     .peek_key()
@@ -326,6 +374,10 @@ impl NetSimulator {
                     if end > self.cfg.t_end {
                         self.queue.advance(end);
                         break;
+                    }
+                    if end >= checkpoint_at {
+                        end += self.checkpoints_through(end, &mut ff, total_events);
+                        checkpoint_at = ff.as_ref().map_or(Tick::MAX, |f| f.next);
                     }
                     if stopping
                         && self.remaining
@@ -341,19 +393,28 @@ impl NetSimulator {
                         if track_depth {
                             depth_high = depth_high.max(self.queue.len());
                         }
-                        if total_events - flushed == FLUSH_EVERY {
-                            nd_obs::metrics::add("netsim.events", FLUSH_EVERY);
-                            flushed = total_events;
+                        if total_events - flushed.events == FLUSH_EVERY {
+                            self.flush(&mut flushed, total_events);
                             progress.update(end.0);
                         }
                     }
                     continue;
                 }
             }
-            let Some(ev) = self.queue.pop() else { break };
+            let Some(mut ev) = self.queue.pop() else {
+                break;
+            };
             if ev.at > self.cfg.t_end {
                 self.queue.advance(ev.at);
                 break;
+            }
+            if ev.at >= checkpoint_at {
+                let dt = self.checkpoints_through(ev.at, &mut ff, total_events);
+                checkpoint_at = ff.as_ref().map_or(Tick::MAX, |f| f.next);
+                ev.at += dt;
+                if let EventKind::RxStart { end, .. } = &mut ev.kind {
+                    *end += dt;
+                }
             }
             if stopping {
                 // a completed cluster's tail events are discarded without
@@ -392,18 +453,22 @@ impl NetSimulator {
                 if track_depth {
                     depth_high = depth_high.max(self.queue.len());
                 }
-                if total_events - flushed == FLUSH_EVERY {
-                    nd_obs::metrics::add("netsim.events", FLUSH_EVERY);
-                    flushed = total_events;
+                if total_events - flushed.events == FLUSH_EVERY {
+                    self.flush(&mut flushed, total_events);
                     progress.update(ev.at.0);
                 }
             }
         }
+        let (periods_skipped, events_skipped) = ff
+            .as_ref()
+            .map_or((0, 0), |f| (f.periods_skipped, f.events_skipped));
         if observing {
             // flush-on-drain: the remainder batch must land even for runs
             // shorter than one flush interval (a 10⁶-node cohort is many
             // such shards — undercounting them skews the cohort gauges)
-            nd_obs::metrics::add("netsim.events", total_events - flushed);
+            self.flush(&mut flushed, total_events);
+            nd_obs::metrics::add("netsim.ff.periods_skipped", periods_skipped);
+            nd_obs::metrics::add("netsim.ff.events_skipped", events_skipped);
             match self.queue.wheel_stats() {
                 Some((wheel_depth, cascades, overflow_max)) => {
                     nd_obs::metrics::gauge_max("netsim.wheel_depth_max", wheel_depth as f64);
@@ -422,16 +487,105 @@ impl NetSimulator {
         progress.finish();
         let elapsed = self.queue.now().min(self.cfg.t_end);
         let n = self.nodes.len();
-        CohortReport {
+        let report = CohortReport {
             elapsed,
-            events: total_events,
+            events: total_events + events_skipped,
             discovery: self.discovery,
             packets: self.packets,
             stats: std::mem::take(&mut self.nodes.stats),
             joins: std::mem::take(&mut self.nodes.join),
             leaves: (0..n).map(|i| self.nodes.leave_of(i)).collect(),
             cluster: self.cluster_label,
+        };
+        (report, periods_skipped)
+    }
+
+    /// The fast-forward plan for this run, or `None` when the cohort is
+    /// ineligible: every node needs a steady period, the channel must be
+    /// fault-free, and churn must settle early enough to leave room.
+    fn fast_forward_plan(&self) -> Option<FastForward> {
+        if !self.fast_forward {
+            return None;
         }
+        let n = self.nodes.len();
+        let churn = (0..n).flat_map(|i| {
+            std::iter::once((self.nodes.join[i], false))
+                .chain(self.nodes.leave_of(i).map(|l| (l, true)))
+        });
+        FastForward::plan(
+            self.nodes.behavior.iter().map(|b| b.steady_period()),
+            churn,
+            self.cfg.drop_probability > 0.0 || !self.topo.lossless(),
+            self.cfg.t_end,
+        )
+    }
+
+    /// Take every checkpoint up to `t` (the next event's instant; all
+    /// earlier events handled). Returns the fast-forward distance — zero
+    /// unless a checkpoint found a quiet period, in which case the whole
+    /// simulation state has been shifted by it.
+    fn checkpoints_through(&mut self, t: Tick, ff: &mut Option<FastForward>, handled: u64) -> Tick {
+        let Some(f) = ff.as_mut() else {
+            return Tick::ZERO;
+        };
+        while f.next <= t {
+            let verdict = f.checkpoint(
+                self.first_contacts,
+                handled,
+                &mut self.packets,
+                &mut self.nodes.stats,
+            );
+            if let Verdict::Skip(dt) = verdict {
+                self.shift_all(dt);
+                return dt;
+            }
+        }
+        Tick::ZERO
+    }
+
+    /// Move the whole simulation `dt` (whole steady periods) ahead: pending
+    /// events and packet ends, the retained channel history, and every
+    /// behaviour's emission cursors. Relative timing — all the channel
+    /// model looks at — is unchanged.
+    fn shift_all(&mut self, dt: Tick) {
+        self.queue.shift_all(dt);
+        for e in self.pending_ends.iter_mut() {
+            e.0 += dt;
+        }
+        for tx in self.transmissions.iter_mut() {
+            tx.iv = tx.iv.shifted(dt);
+        }
+        for tl in &mut self.timelines {
+            for e in &mut tl.entries {
+                e.0 = e.0.shifted(dt);
+            }
+        }
+        for log in &mut self.nodes.own_tx {
+            for iv in log.iter_mut() {
+                *iv = iv.shifted(dt);
+            }
+        }
+        for b in &mut self.nodes.behavior {
+            b.skip(dt);
+        }
+    }
+
+    /// Add everything counted since the last flush to the nd-obs counters.
+    fn flush(&self, flushed: &mut Flushed, events: u64) {
+        nd_obs::metrics::add("netsim.events", events - flushed.events);
+        nd_obs::metrics::add(
+            "netsim.txend.candidates",
+            self.txend_candidates - flushed.candidates,
+        );
+        nd_obs::metrics::add(
+            "netsim.txend.colliders",
+            self.txend_colliders - flushed.colliders,
+        );
+        *flushed = Flushed {
+            events,
+            candidates: self.txend_candidates,
+            colliders: self.txend_colliders,
+        };
     }
 
     fn handle_join(&mut self, i: usize) {
@@ -589,7 +743,6 @@ impl NetSimulator {
             self.scan_tx(idx, iv);
         }
         let colliders = std::mem::take(&mut self.colliders);
-        let blankers = std::mem::take(&mut self.blankers);
 
         // candidate receivers: owners of scheduled windows overlapping the
         // packet, found by binary search in the cluster's listen timeline
@@ -610,6 +763,8 @@ impl NetSimulator {
                 }
             }
         }
+        self.txend_candidates += cand.len() as u64;
+        self.txend_colliders += colliders.len() as u64;
         // group windows by receiver, ascending id — the stable sort keeps
         // each node's windows in schedule order, so the per-node cover is
         // exactly what its own window list would have produced
@@ -639,7 +794,7 @@ impl NetSimulator {
                 if !windows.iter().any(|&(_, w)| w.contains(iv.start)) {
                     continue; // not receivable at all — not counted as a loss
                 }
-                if self.cfg.half_duplex && blankers.iter().any(|&b| b as usize == rx) {
+                if self.cfg.half_duplex && self.blank_stamp[rx] == self.blank_epoch {
                     self.packets.lost_self_blocking += 1;
                     continue;
                 }
@@ -680,6 +835,7 @@ impl NetSimulator {
             if self.discovery.one_way(rx, sender).is_none() {
                 // a first contact for this ordered pair: count the
                 // cluster down toward completion
+                self.first_contacts += 1;
                 self.remaining[cluster] -= 1;
                 if self.remaining[cluster] == 0 {
                     self.clusters_active -= 1;
@@ -707,9 +863,6 @@ impl NetSimulator {
         let mut colliders = colliders;
         colliders.clear();
         self.colliders = colliders;
-        let mut blankers = blankers;
-        blankers.clear();
-        self.blankers = blankers;
         cand.clear();
         self.cand = cand;
     }
@@ -769,9 +922,9 @@ impl NetSimulator {
     /// One sequential pass over the retained transmission records around
     /// `iv`, filling the scratch lists: `colliders` gets the absolute
     /// indices of *other* records overlapping the packet (ALOHA, Eq. 12),
-    /// `blankers` the senders whose record — expanded by the turnaround
-    /// times — covers the packet start (start-model half-duplex test;
-    /// a node is blanked iff its id appears here).
+    /// and the senders whose record — expanded by the turnaround times —
+    /// covers the packet start get this scan's blanking mark (start-model
+    /// half-duplex test).
     ///
     /// Records are kept in nondecreasing start order, are at most ω long
     /// (leave-truncation only shortens them), and queries arrive with
@@ -779,6 +932,12 @@ impl NetSimulator {
     /// cursor — amortized O(1) per call, one cache-friendly walk instead
     /// of per-node log lookups.
     fn scan_tx(&mut self, idx: usize, iv: Interval) {
+        self.blank_epoch = self.blank_epoch.wrapping_add(1);
+        if self.blank_epoch == 0 {
+            // wrapped: clear the marks so no stale stamp can match
+            self.blank_stamp.fill(0);
+            self.blank_epoch = 1;
+        }
         let radio = &self.cfg.radio;
         // a record can still matter if it overlaps the packet (collision)
         // or its expansion reaches the packet start (blanking): both imply
@@ -809,7 +968,7 @@ impl NetSimulator {
             )
             .contains(iv.start)
             {
-                self.blankers.push(tx.node as u32);
+                self.blank_stamp[tx.node] = self.blank_epoch;
             }
         }
     }
@@ -829,6 +988,14 @@ impl NetSimulator {
             self.tx_base += 1;
         }
     }
+}
+
+/// What the last profiling flush covered.
+#[derive(Default)]
+struct Flushed {
+    events: u64,
+    candidates: u64,
+    colliders: u64,
 }
 
 /// Translate a node-local op to simulation time (`+join`), clamped so a

@@ -162,6 +162,36 @@ impl EventQueue {
         self.now
     }
 
+    /// Move every pending event — and the clock — `dt` later, keeping
+    /// sequence numbers, so the pop order is unchanged. This is the
+    /// engine's steady-state fast-forward; churn events are absolute
+    /// instants and must all have fired before it.
+    pub fn shift_all(&mut self, dt: Tick) {
+        let shift = |kind: &mut EventKind| {
+            debug_assert!(
+                !matches!(kind, EventKind::Join(_) | EventKind::Leave(_)),
+                "churn events never shift"
+            );
+            if let EventKind::RxStart { end, .. } = kind {
+                *end += dt;
+            }
+        };
+        match &mut self.q {
+            QueueImpl::Wheel(w) => w.shift_all(dt.0, shift),
+            QueueImpl::Heap(h) => {
+                *h = std::mem::take(h)
+                    .into_iter()
+                    .map(|Reverse(mut ev)| {
+                        ev.at += dt;
+                        shift(&mut ev.kind);
+                        Reverse(ev)
+                    })
+                    .collect();
+            }
+        }
+        self.now += dt;
+    }
+
     /// Pending events (the depth the profiling gauge reports).
     pub fn len(&self) -> usize {
         match &self.q {
@@ -225,6 +255,44 @@ mod tests {
         q.advance(ev.at);
         assert_eq!(q.now(), Tick(40));
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn shift_all_moves_events_and_clock_on_both_queues() {
+        for mut q in [EventQueue::new(), EventQueue::new_heap()] {
+            q.push(Tick(10), EventKind::Wake(0));
+            q.push(
+                Tick(30),
+                EventKind::RxStart {
+                    node: 1,
+                    end: Tick(40),
+                },
+            );
+            q.push(Tick(30), EventKind::Wake(2));
+            let ev = q.pop().unwrap();
+            q.advance(ev.at);
+            q.shift_all(Tick(1000));
+            assert_eq!(q.now(), Tick(1010));
+            let rest: Vec<Event> = std::iter::from_fn(|| q.pop()).collect();
+            assert_eq!(
+                rest,
+                vec![
+                    Event {
+                        at: Tick(1030),
+                        seq: 1,
+                        kind: EventKind::RxStart {
+                            node: 1,
+                            end: Tick(1040)
+                        }
+                    },
+                    Event {
+                        at: Tick(1030),
+                        seq: 2,
+                        kind: EventKind::Wake(2)
+                    },
+                ]
+            );
+        }
     }
 
     /// Identical push sequences → byte-identical pop sequences on both

@@ -34,6 +34,9 @@ pub(crate) mod event;
 pub mod metrics;
 pub mod node;
 pub mod shard;
+mod steady;
+#[cfg(test)]
+mod steady_equivalence;
 pub mod wheel;
 
 pub use churn::ChurnPlan;

@@ -291,6 +291,25 @@ impl<T> TimingWheel<T> {
         Some(e)
     }
 
+    /// Move every pending entry `dt` ticks later, rewriting payloads with
+    /// `f` and keeping each `seq` — so the pop order is unchanged. The
+    /// wheel is drained and refiled from an empty one (one O(len) pass);
+    /// the profiling counters carry over.
+    pub fn shift_all(&mut self, dt: u64, mut f: impl FnMut(&mut T)) {
+        let mut pending = Vec::with_capacity(self.len);
+        while let Some(e) = self.pop() {
+            pending.push(e);
+        }
+        let old = std::mem::take(self);
+        for mut e in pending {
+            f(&mut e.payload);
+            self.push(e.at + dt, e.seq, e.payload);
+        }
+        self.depth_max = self.depth_max.max(old.depth_max);
+        self.cascades += old.cascades;
+        self.overflow_max = self.overflow_max.max(old.overflow_max);
+    }
+
     /// The `(at, seq)` key the next [`TimingWheel::pop`] will return,
     /// without consuming it. `&mut` because peeking may have to drain a
     /// slot into the current buffer first.
@@ -373,6 +392,34 @@ mod tests {
         assert_eq!(w.pop().unwrap().at, 12);
         assert_eq!(w.pop().unwrap().at, 50_000);
         assert!(w.pop().is_none());
+    }
+
+    #[test]
+    fn shift_all_keeps_order_and_moves_times() {
+        let mut w = TimingWheel::new();
+        for (seq, at) in [900u64, 5, 5, 100_000, 77].into_iter().enumerate() {
+            w.push(at, seq as u64, at as u32);
+        }
+        assert_eq!(w.pop().unwrap().at, 5);
+        let dt = 1 << 30; // far enough to land in a coarse level
+        w.shift_all(dt, |p| *p += 1);
+        assert_eq!(w.len(), 4);
+        // a push after the shift interleaves by (at, seq) as usual
+        w.push(dt + 77, 9, 0);
+        let mut got = Vec::new();
+        while let Some(e) = w.pop() {
+            got.push((e.at - dt, e.seq, e.payload));
+        }
+        assert_eq!(
+            got,
+            vec![
+                (5, 2, 6),
+                (77, 4, 78),
+                (77, 9, 0),
+                (900, 0, 901),
+                (100_000, 3, 100_001)
+            ]
+        );
     }
 
     #[test]

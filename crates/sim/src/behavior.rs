@@ -82,6 +82,25 @@ pub trait Behavior {
     fn label(&self) -> String {
         "behavior".into()
     }
+
+    /// The behaviour's exact period `H`, if it has one: a promise that its
+    /// op stream (on the node-local timeline, from local 0 on) repeats
+    /// every `H` ticks, that it ignores the RNG and receptions (no reactive
+    /// ops), and that [`Behavior::skip`] moves it `dt` ticks ahead for any
+    /// multiple `dt` of `H`. Engines may then fast-forward whole periods
+    /// of a cohort that can discover nothing new. `None` (the default)
+    /// turns that off; wrappers that change timing must not forward it.
+    fn steady_period(&self) -> Option<Tick> {
+        None
+    }
+
+    /// Advance the emission cursors by `dt`, a multiple of
+    /// [`Behavior::steady_period`]: afterwards the behaviour emits what it
+    /// would have emitted `dt` later, shifted by `dt`. Only called on
+    /// behaviours that report a steady period.
+    fn skip(&mut self, dt: Tick) {
+        let _ = dt;
+    }
 }
 
 /// Drives a static periodic [`Schedule`] (beacon sequence + reception
@@ -244,6 +263,24 @@ impl Behavior for ScheduleBehavior {
     fn label(&self) -> String {
         self.label.clone()
     }
+
+    /// lcm(T_B, T_C): both sides repeat, and the emission chunk
+    /// (max(T_B, T_C)) divides it, so chunk boundaries — where straddling
+    /// windows are split — repeat too.
+    fn steady_period(&self) -> Option<Tick> {
+        let tb = self.schedule.beacons.as_ref().map(|b| b.period());
+        let tc = self.schedule.windows.as_ref().map(|c| c.period());
+        match (tb, tc) {
+            (Some(tb), Some(tc)) => tb.checked_lcm(tc),
+            (Some(t), None) | (None, Some(t)) => Some(t),
+            (None, None) => Some(self.chunk()),
+        }
+    }
+
+    fn skip(&mut self, dt: Tick) {
+        self.emitted_until_b += dt;
+        self.emitted_until_c += dt;
+    }
 }
 
 impl<B: Behavior + ?Sized> Behavior for Box<B> {
@@ -267,6 +304,14 @@ impl<B: Behavior + ?Sized> Behavior for Box<B> {
 
     fn label(&self) -> String {
         (**self).label()
+    }
+
+    fn steady_period(&self) -> Option<Tick> {
+        (**self).steady_period()
+    }
+
+    fn skip(&mut self, dt: Tick) {
+        (**self).skip(dt)
     }
 }
 
@@ -387,6 +432,66 @@ mod tests {
         let ops = beh.next_ops(Tick::ZERO, &mut rng());
         assert!(ops.iter().all(|op| matches!(op, Op::Tx { .. })));
         assert_eq!(beh.label(), "adv");
+    }
+
+    #[test]
+    fn steady_period_is_the_joint_period() {
+        // T_B = T_C = 100 µs → H = 100 µs; T_B = 60, T_C = 90 → 180 µs
+        let beh = ScheduleBehavior::new(test_schedule());
+        assert_eq!(beh.steady_period(), Some(Tick::from_micros(100)));
+        let b =
+            BeaconSeq::uniform(1, Tick::from_micros(60), Tick::from_micros(4), Tick::ZERO).unwrap();
+        let c = ReceptionWindows::single(Tick::ZERO, Tick::from_micros(20), Tick::from_micros(90))
+            .unwrap();
+        let beh = ScheduleBehavior::new(Schedule::full(b, c));
+        assert_eq!(beh.steady_period(), Some(Tick::from_micros(180)));
+        assert_eq!(IdleBehavior.steady_period(), None);
+    }
+
+    /// Pull batches the way the engine does (each refill asks from the
+    /// previous batch's last op) until the stream reaches `until`.
+    fn pull(beh: &mut ScheduleBehavior, mut after: Tick, until: Tick) -> Vec<Op> {
+        let mut out: Vec<Op> = Vec::new();
+        while out.last().is_none_or(|op| op.at() < until) {
+            out.extend(beh.next_ops(after, &mut rng()));
+            after = out.last().unwrap().at();
+        }
+        out
+    }
+
+    #[test]
+    fn skip_shifts_the_op_stream_by_whole_periods() {
+        // T_B = 60, T_C = 90 → H = 180 µs; with phase 40 the window
+        // straddles every chunk boundary, so the split pattern must
+        // repeat with H too
+        let b =
+            BeaconSeq::uniform(1, Tick::from_micros(60), Tick::from_micros(4), Tick::ZERO).unwrap();
+        let c = ReceptionWindows::single(
+            Tick::from_micros(30),
+            Tick::from_micros(50),
+            Tick::from_micros(90),
+        )
+        .unwrap();
+        let sched = Schedule::full(b, c);
+        let phase = Tick::from_micros(40);
+        let mut full = ScheduleBehavior::with_phase(sched.clone(), phase);
+        let h = full.steady_period().unwrap();
+        let reference = pull(&mut full, Tick::ZERO, h * 8);
+
+        let mut skipped = ScheduleBehavior::with_phase(sched, phase);
+        let head = pull(&mut skipped, Tick::ZERO, h);
+        assert_eq!(&reference[..head.len()], &head[..]);
+        let dt = h * 3;
+        skipped.skip(dt);
+        let last = head.last().unwrap().at();
+        let tail = pull(&mut skipped, last + dt, h * 6);
+        let expect: Vec<Op> = reference
+            .iter()
+            .copied()
+            .filter(|op| op.at() > last + dt)
+            .take(tail.len())
+            .collect();
+        assert_eq!(tail, expect);
     }
 
     #[test]

@@ -219,6 +219,14 @@ impl Topology {
         }
     }
 
+    /// `true` when no link has a nonzero loss probability.
+    pub fn lossless(&self) -> bool {
+        match &self.repr {
+            TopologyRepr::Dense { loss, .. } => loss.iter().all(|&p| p == 0.0),
+            _ => true,
+        }
+    }
+
     /// Connected-component label per device: devices that can influence
     /// each other (in either direction, transitively) share a label;
     /// labels are the smallest member id of the component. A full
@@ -391,6 +399,7 @@ mod tests {
         assert!(t.in_range(0, 1));
         assert!(!t.in_range(1, 1), "never in range of self");
         t.set_link(0, 1, false);
+        assert!(t.lossless(), "a cut link is not a lossy one");
         assert!(!t.in_range(0, 1));
         assert!(t.in_range(1, 0), "directed");
         t.set_bidi(1, 2, false);
@@ -398,6 +407,7 @@ mod tests {
         t.set_link_loss(2, 0, 0.5);
         assert_eq!(t.link_loss(2, 0), 0.5);
         assert_eq!(t.link_loss(0, 2), 0.0);
+        assert!(!t.lossless());
     }
 
     #[test]
