@@ -1,10 +1,17 @@
-//! Monte-Carlo harness: repeated randomized-phase simulations on top of
-//! `nd-sim`, for the statistics the closed-form analysis cannot give
+//! Monte-Carlo harness: repeated randomized-phase simulations on
+//! `nd-netsim`, for the statistics the closed-form analysis cannot give
 //! (collisions among S > 2 devices, fault injection, reactive protocols).
+//!
+//! Every harness here — and the sweep's Monte-Carlo backend — runs the
+//! same trial loop with the same seed path: trial `t` simulates with seed
+//! [`stream_seed`]`(root, t)`, and whatever the trials draw up front
+//! (random phases) comes from one stream seeded with the root itself.
 
 use nd_core::schedule::Schedule;
+use nd_core::seed::stream_seed;
 use nd_core::time::Tick;
-use nd_sim::{Behavior, ScheduleBehavior, SimConfig, Simulator, Topology};
+use nd_netsim::{CohortReport, NetSimulator, NodeSpec};
+use nd_sim::{Behavior, ScheduleBehavior, SimConfig, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -75,6 +82,67 @@ pub enum PairMetric {
     TwoWay,
 }
 
+impl PairMetric {
+    /// This metric's latency for the pair (device 0, device 1).
+    fn latency(self, report: &CohortReport) -> Option<Tick> {
+        match self {
+            PairMetric::OneWay => report.discovery.one_way(1, 0),
+            PairMetric::EitherWay => report.discovery.either_way(0, 1),
+            PairMetric::TwoWay => report.discovery.two_way(0, 1),
+        }
+    }
+}
+
+/// The trial loop under [`pair_trial_loop`] and the group rates: `trials`
+/// runs of the always-on cohort `devices` builds, seeded as described
+/// there, each report handed to `visit` in trial order. With `stop` set,
+/// a run ends once every ordered pair has discovered.
+fn run_trials(
+    cfg: &SimConfig,
+    trials: usize,
+    stop: bool,
+    mut devices: impl FnMut(&mut StdRng) -> Vec<Box<dyn Behavior>>,
+    mut visit: impl FnMut(CohortReport),
+) {
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    for trial in 0..trials {
+        let nodes = devices(&mut rng);
+        let mut cfg_t = cfg.clone();
+        cfg_t.seed = stream_seed(cfg.seed, trial as u64);
+        let mut sim = NetSimulator::new(cfg_t, Topology::full(nodes.len()));
+        for behavior in nodes {
+            sim.add_node(NodeSpec::always_on(behavior));
+        }
+        sim.stop_when_all_discovered(stop);
+        visit(sim.run());
+    }
+}
+
+/// The Monte-Carlo trial loop for a pair, shared by [`pair_trials`] and the
+/// sweep's Monte-Carlo backend: `trials` always-on runs of device 0 and
+/// device 1 from `pair`, each report handed to `visit` with its latency
+/// under `metric`. Runs stop at two-way discovery under
+/// [`PairMetric::TwoWay`].
+///
+/// Trial `t` runs with seed `stream_seed(cfg.seed, t)`; `pair` draws any
+/// randomness (phases) from one stream seeded with `cfg.seed` that runs
+/// through all trials in order.
+pub fn pair_trial_loop(
+    cfg: &SimConfig,
+    trials: usize,
+    metric: PairMetric,
+    mut pair: impl FnMut(&mut StdRng) -> [Box<dyn Behavior>; 2],
+    mut visit: impl FnMut(Option<Tick>, &CohortReport),
+) {
+    run_trials(
+        cfg,
+        trials,
+        metric == PairMetric::TwoWay,
+        |rng| pair(rng).into(),
+        |report| visit(metric.latency(&report), &report),
+    );
+}
+
 /// Run `trials` pair simulations with independently random phases for both
 /// schedules; returns per-trial latency (None if not discovered within the
 /// configured horizon).
@@ -85,46 +153,22 @@ pub fn pair_trials(
     cfg: &SimConfig,
     trials: usize,
 ) -> Vec<Option<Tick>> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9_7f4a_7c15);
     let mut out = Vec::with_capacity(trials);
-    for trial in 0..trials {
-        let phase_a = random_phase(sched_a, &mut rng);
-        let phase_b = random_phase(sched_b, &mut rng);
-        let mut cfg_t = cfg.clone();
-        cfg_t.seed = cfg
-            .seed
-            .wrapping_add(trial as u64)
-            .wrapping_mul(0x5851_f42d_4c95_7f2d);
-        let mut sim = Simulator::new(cfg_t, Topology::full(2));
-        sim.add_device(Box::new(ScheduleBehavior::with_phase(
-            sched_a.clone(),
-            phase_a,
-        )));
-        sim.add_device(Box::new(ScheduleBehavior::with_phase(
-            sched_b.clone(),
-            phase_b,
-        )));
-        sim.stop_when_all_discovered(matches!(metric, PairMetric::TwoWay));
-        let report = sim.run();
-        let latency = match metric {
-            PairMetric::OneWay => report.discovery.one_way(1, 0),
-            PairMetric::EitherWay => report.discovery.either_way(0, 1),
-            PairMetric::TwoWay => report.discovery.two_way(0, 1),
-        };
-        out.push(latency);
-    }
+    pair_trial_loop(
+        cfg,
+        trials,
+        metric,
+        |rng| {
+            let phase_a = random_phase(sched_a, rng);
+            let phase_b = random_phase(sched_b, rng);
+            [
+                Box::new(ScheduleBehavior::with_phase(sched_a.clone(), phase_a)),
+                Box::new(ScheduleBehavior::with_phase(sched_b.clone(), phase_b)),
+            ]
+        },
+        |latency, _| out.push(latency),
+    );
     out
-}
-
-/// Run one simulation with `behaviors.len()` devices (arbitrary reactive
-/// behaviours) and return the report.
-pub fn run_group(behaviors: Vec<Box<dyn Behavior>>, cfg: &SimConfig) -> nd_sim::SimReport {
-    let n = behaviors.len();
-    let mut sim = Simulator::new(cfg.clone(), Topology::full(n));
-    for b in behaviors {
-        sim.add_device(b);
-    }
-    sim.run()
 }
 
 /// Fraction of pair discoveries (over random phases) completing within
@@ -138,42 +182,18 @@ pub fn group_success_rate(
     trials: usize,
     jitter: Option<Tick>,
 ) -> f64 {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xdead_beef);
-    let mut attempts = 0u64;
-    let mut successes = 0u64;
-    for trial in 0..trials {
-        let mut cfg_t = cfg.clone();
-        cfg_t.seed = cfg.seed.wrapping_add(0x1000 + trial as u64);
-        let mut sim = Simulator::new(cfg_t, Topology::full(s));
-        for _ in 0..s {
-            let phase = random_phase(schedule, &mut rng);
-            let base = ScheduleBehavior::with_phase(schedule.clone(), phase);
-            match jitter {
-                Some(j) => {
-                    sim.add_device(Box::new(nd_protocols::Jittered::new(base, j)));
+    group_rate(cfg, trials, deadline, |rng| {
+        (0..s)
+            .map(|_| {
+                let base =
+                    ScheduleBehavior::with_phase(schedule.clone(), random_phase(schedule, rng));
+                match jitter {
+                    Some(j) => Box::new(nd_protocols::Jittered::new(base, j)) as Box<dyn Behavior>,
+                    None => Box::new(base),
                 }
-                None => {
-                    sim.add_device(Box::new(base));
-                }
-            }
-        }
-        let report = sim.run();
-        for a in 0..s {
-            for b in 0..s {
-                if a != b {
-                    attempts += 1;
-                    if report
-                        .discovery
-                        .one_way(a, b)
-                        .is_some_and(|t| t <= deadline)
-                    {
-                        successes += 1;
-                    }
-                }
-            }
-        }
-    }
-    successes as f64 / attempts as f64
+            })
+            .collect()
+    })
 }
 
 /// Like [`group_success_rate`], but with an arbitrary behaviour factory:
@@ -186,35 +206,43 @@ pub fn group_success_rate_factory(
     cfg: &SimConfig,
     trials: usize,
 ) -> f64 {
+    let mut trial = 0;
+    group_rate(cfg, trials, deadline, |_| {
+        let nodes = (0..s).map(|dev| make(trial, dev)).collect();
+        trial += 1;
+        nodes
+    })
+}
+
+/// Share of ordered pairs, over all trials, discovered within `deadline`.
+fn group_rate(
+    cfg: &SimConfig,
+    trials: usize,
+    deadline: Tick,
+    devices: impl FnMut(&mut StdRng) -> Vec<Box<dyn Behavior>>,
+) -> f64 {
     let mut attempts = 0u64;
     let mut successes = 0u64;
-    for trial in 0..trials {
-        let mut cfg_t = cfg.clone();
-        cfg_t.seed = cfg.seed.wrapping_add(0x2000 + trial as u64);
-        let mut sim = Simulator::new(cfg_t, Topology::full(s));
-        for dev in 0..s {
-            sim.add_device(make(trial, dev));
-        }
-        let report = sim.run();
+    run_trials(cfg, trials, false, devices, |report| {
+        let s = report.len();
         for a in 0..s {
-            for b in 0..s {
-                if a != b {
-                    attempts += 1;
-                    if report
-                        .discovery
-                        .one_way(a, b)
-                        .is_some_and(|t| t <= deadline)
-                    {
-                        successes += 1;
-                    }
+            for b in (0..s).filter(|&b| b != a) {
+                attempts += 1;
+                if report
+                    .discovery
+                    .one_way(a, b)
+                    .is_some_and(|t| t <= deadline)
+                {
+                    successes += 1;
                 }
             }
         }
-    }
+    });
     successes as f64 / attempts as f64
 }
 
-fn random_phase(schedule: &Schedule, rng: &mut StdRng) -> Tick {
+/// A uniformly random phase over the schedule's longer period.
+pub fn random_phase(schedule: &Schedule, rng: &mut StdRng) -> Tick {
     let period = schedule
         .beacons
         .as_ref()

@@ -31,7 +31,6 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(32);
-    let heap = std::env::args().any(|a| a == "heap");
     let reps: usize = std::env::var("REPS")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -59,9 +58,6 @@ fn main() {
     let cfg = SimConfig::paper_baseline(Tick::from_millis(50), 42).with_radio(radio);
     let build = || {
         let mut sim = NetSimulator::new(cfg.clone(), Topology::full(n));
-        if heap {
-            sim.use_heap_queue();
-        }
         for i in 0..n {
             let phase =
                 Tick(((42u64 ^ (i as u64)).wrapping_mul(0x9e37_79b9_7f4a_7c15)) % 14_400_000);

@@ -12,15 +12,14 @@
 //!   deterministic framing matters.
 
 use crate::table::{pct, secs, Table};
-use nd_analysis::montecarlo::LatencySummary;
+use nd_analysis::montecarlo::{pair_trial_loop, LatencySummary, PairMetric};
 use nd_core::bounds::unidirectional_bound;
 use nd_core::schedule::Schedule;
 use nd_core::time::Tick;
 use nd_protocols::aperiodic::{RandomScanner, SlidingScanner};
 use nd_protocols::optimal::{self, OptimalParams};
-use nd_sim::{Behavior, ScheduleBehavior, SimConfig, Simulator, Topology};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use nd_sim::{Behavior, ScheduleBehavior, SimConfig};
+use rand::Rng;
 
 const BETA: f64 = 0.01;
 const GAMMA: f64 = 0.05;
@@ -31,23 +30,26 @@ fn trial(make_scanner: &mut dyn FnMut() -> Box<dyn Behavior>, trials: usize) -> 
     let beacons = tx.schedule.beacons.as_ref().unwrap().clone();
     let bound = unidirectional_bound(36e-6, BETA, GAMMA);
     let horizon = Tick::from_secs_f64(bound * 12.0);
-    let mut rng = StdRng::seed_from_u64(0xa9e);
+    let mut cfg = SimConfig::paper_baseline(horizon, 0xa9e);
+    cfg.collisions = false;
+    cfg.half_duplex = false;
     let mut lat = Vec::with_capacity(trials);
-    for t in 0..trials {
-        let mut cfg = SimConfig::paper_baseline(horizon, 700 + t as u64);
-        cfg.collisions = false;
-        cfg.half_duplex = false;
-        let mut sim = Simulator::new(cfg, Topology::full(2));
-        let phase = Tick(rng.gen_range(0..beacons.period().as_nanos()));
-        sim.add_device(Box::new(ScheduleBehavior::with_phase(
-            Schedule::tx_only(beacons.clone()),
-            phase,
-        )));
-        sim.add_device(make_scanner());
-        sim.stop_when_all_discovered(false);
-        let report = sim.run();
-        lat.push(report.discovery.one_way(1, 0));
-    }
+    pair_trial_loop(
+        &cfg,
+        trials,
+        PairMetric::OneWay,
+        |rng| {
+            let phase = Tick(rng.gen_range(0..beacons.period().as_nanos()));
+            [
+                Box::new(ScheduleBehavior::with_phase(
+                    Schedule::tx_only(beacons.clone()),
+                    phase,
+                )),
+                make_scanner(),
+            ]
+        },
+        |latency, _| lat.push(latency),
+    );
     LatencySummary::from_latencies(&lat)
 }
 

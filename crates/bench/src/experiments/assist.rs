@@ -8,13 +8,12 @@
 //! E[min-direction] + (time to the announced window).
 
 use crate::table::{secs, Table};
-use nd_analysis::montecarlo::LatencySummary;
+use nd_analysis::montecarlo::{pair_trial_loop, LatencySummary, PairMetric};
 use nd_core::time::Tick;
 use nd_protocols::optimal::{symmetric, OptimalParams};
 use nd_protocols::MutualAssist;
-use nd_sim::{ScheduleBehavior, SimConfig, Simulator, Topology};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use nd_sim::{ScheduleBehavior, SimConfig};
+use rand::Rng;
 
 fn trial_two_way(
     schedule: &nd_core::Schedule,
@@ -22,29 +21,31 @@ fn trial_two_way(
     trials: usize,
     horizon: Tick,
 ) -> LatencySummary {
-    let mut rng = StdRng::seed_from_u64(0xa551);
     let period = schedule.windows.as_ref().unwrap().period();
+    let mut cfg = SimConfig::paper_baseline(horizon, 0xa551);
+    cfg.collisions = false;
+    cfg.half_duplex = false;
     let mut lat = Vec::with_capacity(trials);
-    for trial in 0..trials {
-        let phase = Tick(rng.gen_range(0..period.as_nanos()));
-        let mut cfg = SimConfig::paper_baseline(horizon, 400 + trial as u64);
-        cfg.collisions = false;
-        cfg.half_duplex = false;
-        let mut sim = Simulator::new(cfg, Topology::full(2));
-        if assist {
-            sim.add_device(Box::new(MutualAssist::new(schedule.clone())));
-            sim.add_device(Box::new(MutualAssist::with_phase(schedule.clone(), phase)));
-        } else {
-            sim.add_device(Box::new(ScheduleBehavior::new(schedule.clone())));
-            sim.add_device(Box::new(ScheduleBehavior::with_phase(
-                schedule.clone(),
-                phase,
-            )));
-        }
-        sim.stop_when_all_discovered(true);
-        let report = sim.run();
-        lat.push(report.discovery.two_way(0, 1));
-    }
+    pair_trial_loop(
+        &cfg,
+        trials,
+        PairMetric::TwoWay,
+        |rng| {
+            let phase = Tick(rng.gen_range(0..period.as_nanos()));
+            if assist {
+                [
+                    Box::new(MutualAssist::new(schedule.clone())),
+                    Box::new(MutualAssist::with_phase(schedule.clone(), phase)),
+                ]
+            } else {
+                [
+                    Box::new(ScheduleBehavior::new(schedule.clone())),
+                    Box::new(ScheduleBehavior::with_phase(schedule.clone(), phase)),
+                ]
+            }
+        },
+        |latency, _| lat.push(latency),
+    );
     LatencySummary::from_latencies(&lat)
 }
 

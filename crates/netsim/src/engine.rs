@@ -1,22 +1,23 @@
 //! The N-node discrete-event engine.
 //!
-//! [`NetSimulator`] generalizes the pairwise `nd_sim::Simulator` to a
-//! cohort: every node has a presence window (join/leave churn), its own
-//! RNG stream, and an arbitrary [`nd_sim::Behavior`]; the shared channel
-//! applies
-//! the paper's reception model (overlap geometry, half-duplex blanking,
-//! ALOHA collisions, fault injection). With two always-on nodes and the
-//! same configuration it reproduces the pairwise engine's receptions
-//! exactly — the two-node simulator is the N = 2 special case (the
-//! cross-validation tests pin this down).
+//! [`NetSimulator`] is the repository's one discrete-event engine. It
+//! simulates a cohort: every node has a presence window (join/leave
+//! churn), its own RNG stream, and an arbitrary [`nd_sim::Behavior`]; the
+//! shared channel applies the paper's reception model (overlap geometry,
+//! half-duplex blanking, ALOHA collisions, fault injection). A pair is
+//! simply the N = 2 cohort: two always-on nodes are what the Monte-Carlo
+//! harnesses run, and the oracle tests hold such runs to a from-first-
+//! principles enumeration of beacon/window hits.
 //!
 //! Protocols run on node-local timelines (0 = the node's join instant), so
 //! the same behaviour describes an early bird and a late joiner; clock
 //! drift composes underneath via [`nd_sim::Drifting`].
 //!
-//! The event core is built for scale: events flow through the
-//! hierarchical [`crate::wheel::TimingWheel`] (O(1) amortized at netsim's
-//! dense short-horizon mix), per-node state lives in the flat
+//! The event core is built for scale: events flow through a queue picked
+//! from the node count — the hierarchical [`crate::wheel::TimingWheel`]
+//! (O(1) amortized at netsim's dense short-horizon mix) for large
+//! cohorts, a binary heap, faster while few events are pending, for small
+//! ones; both pop the same order. Per-node state lives in the flat
 //! structure-of-arrays [`crate::node`] arena, and cohort completion is a
 //! per-cluster countdown (O(1) per reception) instead of an O(N²)
 //! matrix scan per event. Topologies that split into disconnected
@@ -245,7 +246,7 @@ impl NetSimulator {
             transmissions: VecDeque::new(),
             tx_base: 0,
             pending_ends: VecDeque::new(),
-            queue: EventQueue::new(),
+            queue: EventQueue::for_cohort(n),
             discovery: DiscoveryMatrix::new(n),
             packets: PacketCounters::default(),
             stop_when_complete: false,
@@ -283,12 +284,18 @@ impl NetSimulator {
         self.stop_when_complete = yes;
     }
 
-    /// Swap in the binary-heap reference queue (the implementation the
-    /// timing wheel replaced). An escape hatch for the wheel-vs-heap
-    /// equivalence suite and for bisection; call before
-    /// [`NetSimulator::run`].
-    pub fn use_heap_queue(&mut self) {
-        self.queue = EventQueue::new_heap();
+    /// Run on the timing wheel (`true`) or the binary heap (`false`)
+    /// whatever the cohort size: the wheel-vs-heap equivalence suite
+    /// replays each cohort on both. Call before [`NetSimulator::run`].
+    #[cfg(test)]
+    pub(crate) fn force_queue(&mut self, wheel: bool) {
+        self.queue = EventQueue::with_wheel(wheel);
+    }
+
+    /// Whether this run's events go through the timing wheel.
+    #[cfg(test)]
+    pub(crate) fn uses_wheel(&self) -> bool {
+        self.queue.wheel_stats().is_some()
     }
 
     /// Simulate every period even when the cohort could be fast-forwarded:
@@ -305,7 +312,7 @@ impl NetSimulator {
     /// flush on drain** (so short shards are counted exactly), wheel
     /// pressure goes to the `netsim.wheel_depth_max` /
     /// `netsim.wheel_cascades` / `netsim.wheel_overflow_max` gauges
-    /// (`netsim.heap_depth_max` on the reference-heap path), the
+    /// (`netsim.heap_depth_max` for small cohorts, on the heap), the
     /// end-of-run rate to `netsim.events_per_sec`, and (for standalone
     /// runs — the sweep pool's display takes priority inside a sweep)
     /// simulated time drives a stderr progress line toward `t_end`. The
@@ -352,7 +359,7 @@ impl NetSimulator {
         let mut total_events: u64 = 0;
         let mut flushed = Flushed::default();
         let mut depth_high: usize = 0;
-        // only the reference heap needs per-event depth sampling — the
+        // only the heap needs per-event depth sampling — the
         // wheel tracks its own high-water internally
         let track_depth = observing && self.queue.wheel_stats().is_none();
         // the per-event completed-cluster discard can only ever fire with 2+
@@ -1055,29 +1062,144 @@ mod tests {
         NodeSpec::always_on(Box::new(ScheduleBehavior::new(sched)))
     }
 
+    /// Every `period_us`: one beacon at `beacon_us` and one listening
+    /// window `[window_us, window_us + len_us)`.
+    fn duplex(period_us: u64, beacon_us: u64, window_us: u64, len_us: u64) -> Schedule {
+        let us = Tick::from_micros;
+        Schedule::full(
+            BeaconSeq::uniform(1, us(period_us), us(4), us(beacon_us)).unwrap(),
+            ReceptionWindows::single(us(window_us), us(len_us), us(period_us)).unwrap(),
+        )
+    }
+
     #[test]
-    fn always_on_pair_matches_pairwise_engine() {
-        // identical setup on both engines → identical receptions
+    fn advertiser_meets_scanner() {
         let mut net = NetSimulator::new(base_cfg(10), Topology::full(2));
         net.add_node(on(adv(100, 10)));
         net.add_node(on(scan(50, 200)));
-        let net_report = net.run();
+        let report = net.run();
+        // the beacon at 10 µs lands inside the scanner's [0, 50) window
+        assert_eq!(report.discovery.one_way(1, 0), Some(Tick::from_micros(10)));
+        // the scanner never transmits, so the advertiser never discovers it
+        assert_eq!(report.discovery.one_way(0, 1), None);
+        // 100 beacons in 10 ms; every other one meets a window
+        assert_eq!(report.packets.sent, 100);
+        assert_eq!(report.packets.received, 50);
+        assert_eq!(report.elapsed, Tick::from_millis(10));
+        assert_eq!(report.stats[1].label, "schedule");
+    }
 
-        let mut pair = nd_sim::Simulator::new(base_cfg(10), Topology::full(2));
-        pair.add_device(Box::new(ScheduleBehavior::new(adv(100, 10))));
-        pair.add_device(Box::new(ScheduleBehavior::new(scan(50, 200))));
-        let pair_report = pair.run();
+    #[test]
+    fn out_of_range_nodes_never_discover() {
+        let mut topo = Topology::full(2);
+        topo.set_bidi(0, 1, false);
+        let mut net = NetSimulator::new(base_cfg(10), topo);
+        net.add_node(on(adv(100, 10)));
+        net.add_node(on(scan(50, 200)));
+        let report = net.run();
+        assert_eq!(report.discovery.one_way(1, 0), None);
+        assert!(report.packets.sent > 0);
+        assert_eq!(report.packets.received, 0);
+    }
 
-        assert_eq!(
-            net_report.discovery.one_way(1, 0),
-            pair_report.discovery.one_way(1, 0)
-        );
-        assert_eq!(
-            net_report.discovery.one_way(1, 0),
-            Some(Tick::from_micros(10))
-        );
-        assert_eq!(net_report.packets.sent, pair_report.packets.sent);
-        assert_eq!(net_report.packets.received, pair_report.packets.received);
+    #[test]
+    fn per_link_loss_is_directional() {
+        // two nodes that hear each other (0 beacons at 0 µs and listens in
+        // [50, 90) µs, 1 beacons at 60 µs and listens in [0, 40) µs):
+        // losing every packet from 0 to 1 leaves 1 → 0 untouched
+        let mut topo = Topology::full(2);
+        topo.set_link_loss(0, 1, 1.0);
+        let mut net = NetSimulator::new(base_cfg(10), topo);
+        net.add_node(on(duplex(100, 0, 50, 40)));
+        net.add_node(on(duplex(100, 60, 0, 40)));
+        let report = net.run();
+        assert_eq!(report.discovery.one_way(1, 0), None);
+        assert_eq!(report.discovery.one_way(0, 1), Some(Tick::from_micros(60)));
+        assert!(report.packets.lost_fault > 0);
+    }
+
+    #[test]
+    fn full_packet_model_requires_containment() {
+        // window [0, 6) µs, 4 µs packet from 3 µs: it overlaps the window
+        // but does not fit inside it
+        let run = |overlap| {
+            let mut net = NetSimulator::new(base_cfg(1).with_overlap(overlap), Topology::full(2));
+            net.add_node(on(adv(100, 3)));
+            net.add_node(on(scan(6, 100)));
+            net.run().discovery.one_way(1, 0)
+        };
+        use nd_core::coverage::OverlapModel;
+        assert_eq!(run(OverlapModel::FullPacket), None);
+        assert_eq!(run(OverlapModel::Start), Some(Tick::from_micros(3)));
+        assert_eq!(run(OverlapModel::AnyOverlap), Some(Tick::from_micros(3)));
+    }
+
+    #[test]
+    fn half_duplex_blanks_own_airtime_plus_turnaround() {
+        // the listener's own beacon occupies [10, 14) µs of its [0, 50)
+        // window (Appendix A.5); a TX→RX turnaround keeps it deaf longer
+        let cases = [
+            // (sender beacon µs, turnaround µs, blanked)
+            (10, 0, true),
+            (16, 0, false),
+            (16, 5, true),
+        ];
+        for overlap in [
+            nd_core::coverage::OverlapModel::Start,
+            nd_core::coverage::OverlapModel::FullPacket,
+        ] {
+            for (beacon_us, turnaround_us, blanked) in cases {
+                let mut radio = radio(4);
+                radio.do_tx_rx = Tick::from_micros(turnaround_us);
+                let cfg = base_cfg(1).with_radio(radio).with_overlap(overlap);
+                let mut net = NetSimulator::new(cfg, Topology::full(2));
+                net.add_node(on(adv(100, beacon_us)));
+                net.add_node(on(duplex(100, 10, 0, 50)));
+                let report = net.run();
+                let case = format!("{overlap:?} {beacon_us} µs, turnaround {turnaround_us} µs");
+                let heard = (!blanked).then(|| Tick::from_micros(beacon_us));
+                assert_eq!(report.discovery.one_way(1, 0), heard, "{case}");
+                assert_eq!(report.packets.lost_self_blocking > 0, blanked, "{case}");
+                assert_eq!(report.packets.lost_collision, 0, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn partial_overlap_collides_only_when_airtimes_overlap() {
+        // ω = 4 µs beacons at 10 and 16 µs do not overlap: both heard
+        let mut net = NetSimulator::new(base_cfg(1), Topology::full(3));
+        net.add_node(on(adv(100, 10)));
+        net.add_node(on(adv(100, 16)));
+        net.add_node(on(scan(100, 100)));
+        let report = net.run();
+        assert_eq!(report.discovery.one_way(2, 0), Some(Tick::from_micros(10)));
+        assert_eq!(report.discovery.one_way(2, 1), Some(Tick::from_micros(16)));
+        assert_eq!(report.packets.lost_collision, 0);
+        // at 10 and 12 µs they overlap by half a packet: both destroyed
+        let mut net = NetSimulator::new(base_cfg(1), Topology::full(3));
+        net.add_node(on(adv(100, 10)));
+        net.add_node(on(adv(100, 12)));
+        net.add_node(on(scan(100, 100)));
+        let report = net.run();
+        assert_eq!(report.discovery.one_way(2, 0), None);
+        assert_eq!(report.discovery.one_way(2, 1), None);
+        assert_eq!(report.packets.received, 0);
+        assert!(report.packets.lost_collision > 0);
+    }
+
+    #[test]
+    fn stats_measure_duty_cycles() {
+        let mut net = NetSimulator::new(base_cfg(100), Topology::full(2));
+        net.add_node(on(adv(1000, 0)));
+        net.add_node(on(scan(100, 1000)));
+        let report = net.run();
+        assert_eq!(report.elapsed, Tick::from_millis(100));
+        // advertiser: β = 4/1000; scanner: γ = 100/1000
+        let beta = report.stats[0].beta(report.elapsed);
+        assert!((beta - 0.004).abs() < 5e-4, "beta {beta}");
+        let gamma = report.stats[1].gamma(report.elapsed);
+        assert!((gamma - 0.1).abs() < 5e-3, "gamma {gamma}");
     }
 
     #[test]
@@ -1166,28 +1288,11 @@ mod tests {
 
     #[test]
     fn early_stop_on_cohort_completion() {
-        let sched = |phase_us: u64| {
-            Schedule::full(
-                BeaconSeq::uniform(
-                    1,
-                    Tick::from_micros(300),
-                    Tick::from_micros(4),
-                    Tick::from_micros(phase_us),
-                )
-                .unwrap(),
-                ReceptionWindows::single(
-                    Tick::from_micros(50),
-                    Tick::from_micros(200),
-                    Tick::from_micros(300),
-                )
-                .unwrap(),
-            )
-        };
         let mut net = NetSimulator::new(base_cfg(1000), Topology::full(3));
         // beacon offsets inside everyone's [50, 250) µs window, spaced so
         // they neither collide nor hit the senders' own blanking
         for phase in [60u64, 120, 180] {
-            net.add_node(on(sched(phase)));
+            net.add_node(on(duplex(300, phase, 50, 200)));
         }
         net.stop_when_all_discovered(true);
         let report = net.run();
@@ -1220,22 +1325,20 @@ mod tests {
 
     #[test]
     fn heap_and_wheel_engines_agree() {
-        let run = |heap: bool| {
+        let run = |wheel: bool| {
             let mut cfg = base_cfg(20);
             cfg.drop_probability = 0.2;
             cfg.seed = 7;
             let mut net = NetSimulator::new(cfg, Topology::full(4));
-            if heap {
-                net.use_heap_queue();
-            }
+            net.force_queue(wheel);
             for phase in [3u64, 31, 57] {
                 net.add_node(on(adv(97, phase)));
             }
             net.add_node(on(scan(53, 211)));
             net.run()
         };
-        let wheel = run(false);
-        let heap = run(true);
+        let wheel = run(true);
+        let heap = run(false);
         assert_eq!(wheel.events, heap.events);
         assert_eq!(wheel.elapsed, heap.elapsed);
         assert_eq!(wheel.packets, heap.packets);
@@ -1248,27 +1351,10 @@ mod tests {
         // nodes {0, 2} on channel 0, {1, 3} on channel 1: discovery never
         // crosses the cluster boundary, and each cluster completes on its
         // own under stop_when_all_discovered
-        let sched = |phase_us: u64| {
-            Schedule::full(
-                BeaconSeq::uniform(
-                    1,
-                    Tick::from_micros(300),
-                    Tick::from_micros(4),
-                    Tick::from_micros(phase_us),
-                )
-                .unwrap(),
-                ReceptionWindows::single(
-                    Tick::from_micros(50),
-                    Tick::from_micros(200),
-                    Tick::from_micros(300),
-                )
-                .unwrap(),
-            )
-        };
         let topo = Topology::clusters(vec![0, 1, 0, 1]);
         let mut net = NetSimulator::new(base_cfg(1000), topo);
         for phase in [60u64, 120, 130, 190] {
-            net.add_node(on(sched(phase)));
+            net.add_node(on(duplex(300, phase, 50, 200)));
         }
         net.stop_when_all_discovered(true);
         let report = net.run();

@@ -7,11 +7,12 @@
 //! runs reproducible byte for byte regardless of the host or of how many
 //! sweeps run in sibling threads.
 //!
-//! The queue is backed by the hierarchical [`crate::wheel::TimingWheel`]
-//! (O(1) amortized at netsim's dense, short-horizon event mix). The
-//! binary heap it replaced survives as [`EventQueue::new_heap`], the
-//! reference implementation the equivalence suite replays whole cohorts
-//! against — the two must produce byte-identical event sequences.
+//! The queue is a binary heap for small cohorts and the hierarchical
+//! [`crate::wheel::TimingWheel`] (O(1) amortized at netsim's dense,
+//! short-horizon event mix) from [`WHEEL_MIN_NODES`] nodes up
+//! ([`EventQueue::for_cohort`]). The two pop byte-identical event
+//! sequences, so the choice only moves speed; the equivalence suite
+//! replays whole cohorts on both to hold them to that.
 //!
 //! Popping no longer advances the clock implicitly: the engine calls
 //! [`EventQueue::advance`] for events it *handles*, so events it discards
@@ -84,21 +85,32 @@ pub(crate) struct EventQueue {
     now: Tick,
 }
 
+/// Cohorts of at least this many nodes run on the timing wheel, smaller
+/// ones on the binary heap.
+///
+/// Set from the crossover on one event stream (heap time ÷ wheel time):
+/// 0.59–0.62 at N = 2, 0.71–0.78 at N = 4, 0.77–0.78 at N = 8, 0.94–0.95
+/// at N = 16 and 1.04–1.11 at N = 32, for optimal-slotless and Disco
+/// cohorts. A small cohort keeps only a handful of events pending, so
+/// the heap's O(log n) is a few comparisons while the wheel pays for
+/// slot bookkeeping and cascades on every advance.
+pub(crate) const WHEEL_MIN_NODES: usize = 16;
+
 impl EventQueue {
-    /// The production queue: hierarchical timing wheel.
-    pub fn new() -> Self {
-        EventQueue {
-            q: QueueImpl::Wheel(TimingWheel::new()),
-            seq: 0,
-            now: Tick::ZERO,
-        }
+    /// The queue for a cohort of `nodes` nodes: the binary heap below
+    /// [`WHEEL_MIN_NODES`], the timing wheel from there up.
+    pub fn for_cohort(nodes: usize) -> Self {
+        Self::with_wheel(nodes >= WHEEL_MIN_NODES)
     }
 
-    /// The reference queue: the binary heap the wheel replaced. Kept for
-    /// the wheel-vs-heap equivalence suite (and as a bisection tool).
-    pub fn new_heap() -> Self {
+    /// The timing wheel (`true`) or the binary heap (`false`).
+    pub fn with_wheel(wheel: bool) -> Self {
         EventQueue {
-            q: QueueImpl::Heap(BinaryHeap::new()),
+            q: if wheel {
+                QueueImpl::Wheel(TimingWheel::new())
+            } else {
+                QueueImpl::Heap(BinaryHeap::new())
+            },
             seq: 0,
             now: Tick::ZERO,
         }
@@ -216,7 +228,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_wheel(true);
         q.push(Tick(30), EventKind::Wake(0));
         q.push(Tick(10), EventKind::Wake(1));
         q.push(Tick(20), EventKind::Wake(2));
@@ -226,7 +238,7 @@ mod tests {
 
     #[test]
     fn equal_instants_fire_in_push_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_wheel(true);
         q.push(Tick(5), EventKind::Wake(9));
         q.push(Tick(5), EventKind::Join(1));
         q.push(Tick(5), EventKind::Leave(2));
@@ -239,7 +251,7 @@ mod tests {
 
     #[test]
     fn clock_is_monotone() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_wheel(true);
         q.push(Tick(10), EventKind::Wake(0));
         q.push(Tick(10), EventKind::Wake(1));
         q.push(Tick(40), EventKind::Wake(2));
@@ -259,7 +271,7 @@ mod tests {
 
     #[test]
     fn shift_all_moves_events_and_clock_on_both_queues() {
-        for mut q in [EventQueue::new(), EventQueue::new_heap()] {
+        for mut q in [EventQueue::with_wheel(true), EventQueue::with_wheel(false)] {
             q.push(Tick(10), EventKind::Wake(0));
             q.push(
                 Tick(30),
@@ -299,8 +311,8 @@ mod tests {
     /// queue implementations, across every slot scale.
     #[test]
     fn wheel_and_heap_pop_identically() {
-        let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::new_heap();
+        let mut wheel = EventQueue::with_wheel(true);
+        let mut heap = EventQueue::with_wheel(false);
         let mut state = 42u64;
         let mut next = move || {
             state ^= state << 13;

@@ -2,12 +2,14 @@
 //!
 //! The paper analyzes *pairwise* discovery; its collision model (Eq. 12)
 //! only bites once many nodes contend for one channel. This crate
-//! simulates an **N-node cohort**: a discrete-event core (hierarchical
-//! timing-wheel event queue + logical clock) advances nodes ([`node`]) whose
-//! radios share the paper's channel model — overlap geometry, half-duplex
-//! blanking, ALOHA collisions, fault injection — exactly as the pairwise
-//! `nd_sim::Simulator` does, so a two-node always-on run is the pairwise
-//! engine as a special case (the cross-validation tests assert this).
+//! simulates an **N-node cohort**: a discrete-event core (an event queue
+//! picked from the cohort size — binary heap for small cohorts,
+//! hierarchical timing wheel for large ones — plus a logical clock)
+//! advances nodes ([`node`]) whose radios share the paper's channel
+//! model: overlap geometry, half-duplex blanking, ALOHA collisions, fault
+//! injection. It is the repository's only discrete-event engine; a pair
+//! is the two-node always-on cohort, which is what the Monte-Carlo
+//! harnesses run (the oracle tests hold it to a direct enumeration).
 //!
 //! What the cohort adds on top:
 //!
@@ -33,6 +35,8 @@ pub mod engine;
 pub(crate) mod event;
 pub mod metrics;
 pub mod node;
+#[cfg(test)]
+mod queue_equivalence;
 pub mod shard;
 mod steady;
 #[cfg(test)]

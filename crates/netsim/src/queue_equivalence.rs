@@ -1,24 +1,30 @@
-//! Wheel-vs-heap equivalence at cohort scale.
+//! Wheel-vs-heap equivalence and queue selection.
 //!
-//! The `EventQueue` unit tests prove the timing wheel and the reference
-//! binary heap pop byte-identical event sequences for raw push mixes;
-//! this suite closes the loop at engine level. Randomized cohorts at
-//! N ∈ {2, 8, 33} — random schedules, phases and staggered churn plans —
-//! must produce field-identical [`CohortReport`]s on both queue
-//! implementations, and on a clustered topology the sharded merge must
-//! match the whole-cohort run too. Any divergence in event *order*
-//! (collision outcomes, half-duplex blanking, RNG draw order, early-stop
-//! instants) would surface as a report difference.
+//! `NetSimulator::new` runs cohorts below [`WHEEL_MIN_NODES`] nodes on the
+//! binary heap and larger ones on the timing wheel, so both queues carry
+//! production traffic and must agree exactly. The `EventQueue` unit tests
+//! prove they pop byte-identical event sequences for raw push mixes; this
+//! suite closes the loop at engine level. Randomized cohorts on both
+//! sides of the threshold — random schedules, phases and staggered churn
+//! plans — must produce field-identical [`CohortReport`]s with each queue
+//! forced, and on a clustered topology the sharded merge (whose small
+//! shards pick the heap) must match the whole-cohort run too. Any
+//! divergence in event *order* (collision outcomes, half-duplex blanking,
+//! RNG draw order, early-stop instants) would surface as a report
+//! difference. Forcing a queue is test-only
+//! ([`NetSimulator::force_queue`]), which is why this suite lives inside
+//! the crate.
 
+use crate::event::WHEEL_MIN_NODES;
+use crate::{run_sharded_collect, ChurnPlan, CohortReport, NetSimulator, NodeSpec};
 use nd_core::schedule::{BeaconSeq, ReceptionWindows, Schedule};
 use nd_core::time::Tick;
-use nd_netsim::{run_sharded_collect, ChurnPlan, CohortReport, NetSimulator, NodeSpec};
 use nd_sim::{ScheduleBehavior, SimConfig, Topology};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const COHORTS: [usize; 3] = [2, 8, 33];
+const COHORTS: [usize; 5] = [2, 8, WHEEL_MIN_NODES - 1, WHEEL_MIN_NODES, 33];
 
 fn cfg(horizon: Tick, seed: u64) -> SimConfig {
     let mut radio = nd_core::RadioParams::paper_default();
@@ -61,12 +67,10 @@ fn run_cohort(
     duty_pm: u64,
     plan: &ChurnPlan,
     horizon: Tick,
-    heap: bool,
+    wheel: bool,
 ) -> CohortReport {
     let mut sim = NetSimulator::new(cfg(horizon, seed), topo.clone());
-    if heap {
-        sim.use_heap_queue();
-    }
+    sim.force_queue(wheel);
     sim.stop_when_all_discovered(true);
     for i in 0..n {
         sim.add_node(spec(i, period_us, duty_pm, plan));
@@ -85,11 +89,21 @@ fn assert_reports_equal(a: &CohortReport, b: &CohortReport, what: &str) {
     assert_eq!(a.cluster, b.cluster, "{what}: cluster");
 }
 
+#[test]
+fn new_picks_the_queue_from_the_cohort_size() {
+    let pick =
+        |n: usize| NetSimulator::new(cfg(Tick::from_millis(1), 1), Topology::full(n)).uses_wheel();
+    assert!(!pick(2));
+    assert!(!pick(WHEEL_MIN_NODES - 1), "heap just below the threshold");
+    assert!(pick(WHEEL_MIN_NODES), "wheel from the threshold up");
+    assert!(pick(1024));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Full-mesh cohorts under randomized churn: the production wheel and
-    /// the reference heap must agree field for field at every N.
+    /// Full-mesh cohorts under randomized churn: the wheel and the heap
+    /// must agree field for field at every N.
     #[test]
     fn wheel_and_heap_reports_agree_under_churn(
         seed in 0u64..1_000_000,
@@ -103,8 +117,8 @@ proptest! {
             let plan = ChurnPlan::staggered(
                 n, fraction, horizon, &mut StdRng::seed_from_u64(churn_seed));
             let topo = Topology::full(n);
-            let wheel = run_cohort(n, &topo, seed, period_us, duty_pm, &plan, horizon, false);
-            let heap = run_cohort(n, &topo, seed, period_us, duty_pm, &plan, horizon, true);
+            let wheel = run_cohort(n, &topo, seed, period_us, duty_pm, &plan, horizon, true);
+            let heap = run_cohort(n, &topo, seed, period_us, duty_pm, &plan, horizon, false);
             assert_reports_equal(&wheel, &heap, &format!("n={n} wheel vs heap"));
             prop_assert!(wheel.events > 0, "n={n}: the run must do something");
         }
@@ -126,8 +140,8 @@ proptest! {
             let plan = ChurnPlan::staggered(
                 n, fraction, horizon, &mut StdRng::seed_from_u64(churn_seed));
             let topo = Topology::clusters((0..n as u32).map(|i| i % clusters).collect());
-            let wheel = run_cohort(n, &topo, seed, period_us, duty_pm, &plan, horizon, false);
-            let heap = run_cohort(n, &topo, seed, period_us, duty_pm, &plan, horizon, true);
+            let wheel = run_cohort(n, &topo, seed, period_us, duty_pm, &plan, horizon, true);
+            let heap = run_cohort(n, &topo, seed, period_us, duty_pm, &plan, horizon, false);
             assert_reports_equal(&wheel, &heap, &format!("n={n} wheel vs heap"));
             let config = cfg(horizon, seed);
             for threads in [1, 4] {

@@ -21,7 +21,7 @@
 //!
 //! All constructions lower to exact `nd-core` [`nd_core::Schedule`]s, so
 //! the same objects feed the coverage-map analysis, the exact worst-case
-//! engine (`nd-analysis`) and the discrete-event simulator (`nd-sim`).
+//! engine (`nd-analysis`) and the discrete-event simulator (`nd-netsim`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

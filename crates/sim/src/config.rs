@@ -31,8 +31,6 @@ pub struct SimConfig {
     /// Fault injection: i.i.d. probability that an otherwise successful
     /// reception is dropped (smoltcp-style `--drop-chance`).
     pub drop_probability: f64,
-    /// Record a full event trace (costs memory; for debugging/rendering).
-    pub trace: bool,
 }
 
 impl SimConfig {
@@ -47,7 +45,6 @@ impl SimConfig {
             half_duplex: true,
             collisions: true,
             drop_probability: 0.0,
-            trace: false,
         }
     }
 
@@ -74,8 +71,6 @@ impl SimConfig {
 impl StableEncode for SimConfig {
     /// Encode every field that influences simulation results, so
     /// content-addressed caches (nd-sweep) can key on a `SimConfig`.
-    /// `trace` is included too: it does not change results, but keeping the
-    /// encoding total over the struct is cheaper than arguing about it.
     fn encode(&self, out: &mut Vec<u8>) {
         self.radio.encode(out);
         self.overlap.encode(out);
@@ -84,7 +79,6 @@ impl StableEncode for SimConfig {
         self.half_duplex.encode(out);
         self.collisions.encode(out);
         self.drop_probability.encode(out);
-        self.trace.encode(out);
     }
 }
 

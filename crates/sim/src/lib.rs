@@ -1,9 +1,9 @@
-//! # nd-sim — a discrete-event wireless simulator for neighbor discovery
+//! # nd-sim — the simulation model for neighbor discovery
 //!
-//! This crate is the experimental substrate for the reproduction of *On
-//! Optimal Neighbor Discovery* (SIGCOMM 2019). It simulates `N` duty-cycled
-//! radios on a single shared broadcast channel under exactly the model the
-//! paper analyzes:
+//! This crate defines what the reproduction of *On Optimal Neighbor
+//! Discovery* (SIGCOMM 2019) simulates; the `nd-netsim` crate runs it. It
+//! describes `N` duty-cycled radios on a single shared broadcast channel
+//! under exactly the model the paper analyzes:
 //!
 //! * radios sleep, transmit beacons of airtime ω, or listen in reception
 //!   windows ([`behavior::Op`]);
@@ -18,7 +18,9 @@
 //! Protocols drive devices through the [`behavior::Behavior`] trait —
 //! static periodic schedules use [`behavior::ScheduleBehavior`], reactive
 //! protocols (mutual assistance, BLE advDelay) implement the trait
-//! directly.
+//! directly, and [`drift::Drifting`] skews any of them. [`config`] holds
+//! the channel and radio settings ([`SimConfig`]) and who hears whom
+//! ([`Topology`]); [`stats`] holds what a run measures.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -26,13 +28,9 @@
 pub mod behavior;
 pub mod config;
 pub mod drift;
-pub mod engine;
 pub mod stats;
-pub mod trace;
 
 pub use behavior::{Behavior, IdleBehavior, Op, Payload, ScheduleBehavior};
 pub use config::{SimConfig, Topology};
 pub use drift::Drifting;
-pub use engine::Simulator;
-pub use stats::{DeviceStats, DiscoveryMatrix, LossReason, PacketCounters, SimReport};
-pub use trace::{render_timeline, TraceEvent};
+pub use stats::{DeviceStats, DiscoveryMatrix, PacketCounters};

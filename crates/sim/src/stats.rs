@@ -144,18 +144,6 @@ impl DiscoveryMatrix {
     }
 }
 
-/// Why a geometrically receivable packet was lost.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LossReason {
-    /// Destroyed by an overlapping transmission (Eq. 12).
-    Collision,
-    /// The receiver's own transmission (plus turnarounds) blanked the
-    /// window (Appendix A.5).
-    SelfBlocking,
-    /// Random fault injection (global drop chance or per-link loss).
-    Fault,
-}
-
 /// Aggregate packet counters for one run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PacketCounters {
@@ -182,21 +170,6 @@ impl PacketCounters {
             self.lost_collision as f64 / receivable as f64
         }
     }
-}
-
-/// The full result of one simulation run.
-#[derive(Clone, Debug)]
-pub struct SimReport {
-    /// Time the simulation stopped (≤ configured `t_end`).
-    pub elapsed: Tick,
-    /// Per-device accounting, indexed by device id.
-    pub devices: Vec<DeviceStats>,
-    /// First-discovery matrix.
-    pub discovery: DiscoveryMatrix,
-    /// Packet counters.
-    pub packets: PacketCounters,
-    /// Event trace (empty unless `SimConfig::trace`).
-    pub trace: Vec<crate::trace::TraceEvent>,
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use crate::grid::{expand, Job};
 use crate::pool::{default_threads, run_parallel};
 use crate::spec::{Backend, Deadline, Horizon, Metric, ScenarioSpec};
 use crate::value::Value;
+use nd_analysis::montecarlo::{pair_trial_loop, random_phase};
 use nd_analysis::{
     one_way_coverage, two_way_worst_case, AnalysisConfig, LatencyDistribution, LatencySummary,
 };
@@ -20,7 +21,7 @@ use nd_core::error::NdError;
 use nd_core::schedule::Schedule;
 use nd_core::time::Tick;
 use nd_netsim::{ChurnPlan, NetSimulator, NodeSpec, PairMetric};
-use nd_sim::{Behavior, Drifting, ScheduleBehavior, Simulator, Topology};
+use nd_sim::{Behavior, Drifting, ScheduleBehavior, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -430,56 +431,56 @@ fn exec_montecarlo(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f6
     let job_seed = job.seed(spec);
     let (predicted, horizon, deadline) = resolve_horizon(&[(&sched_a, &sched_b)], spec)?;
 
-    let base_cfg = job.base_sim_config(spec);
-    let radio = base_cfg.radio;
+    let mut cfg = job.base_sim_config(spec);
+    cfg.t_end = horizon;
+    cfg.seed = job_seed;
+    let radio = cfg.radio;
+    let metric = match spec.metric {
+        Metric::OneWay => nd_analysis::PairMetric::OneWay,
+        Metric::EitherWay => nd_analysis::PairMetric::EitherWay,
+        Metric::TwoWay => nd_analysis::PairMetric::TwoWay,
+    };
 
-    let period_a = schedule_period(&sched_a);
-    let period_b = schedule_period(&sched_b);
-    let mut rng = StdRng::seed_from_u64(job_seed);
     let mut latencies: Vec<Option<Tick>> = Vec::with_capacity(spec.sim.trials);
     let mut eta_acc = 0.0;
     let mut eta_b_acc = 0.0;
     let mut energy_acc = 0.0;
     let mut energy_b_acc = 0.0;
     let mut collision_acc = 0.0;
-
-    for trial in 0..spec.sim.trials {
-        let mut cfg = base_cfg.clone();
-        cfg.t_end = horizon;
-        cfg.seed = nd_core::seed::stream_seed(job_seed, trial as u64);
-        let (phase_a, phase_b) = match job.phase {
-            Some(p) => (Tick::ZERO, p),
-            None => (
-                random_phase(period_a, &mut rng),
-                random_phase(period_b, &mut rng),
-            ),
-        };
-        let mut sim = Simulator::new(cfg, Topology::full(2));
-        sim.add_device(Box::new(Drifting::ppm(
-            ScheduleBehavior::with_phase(sched_a.clone(), phase_a),
-            0,
-        )));
-        sim.add_device(Box::new(Drifting::ppm(
-            ScheduleBehavior::with_phase(sched_b.clone(), phase_b),
-            job.drift_ppm,
-        )));
-        sim.stop_when_all_discovered(spec.metric == Metric::TwoWay);
-        let report = sim.run();
-        latencies.push(match spec.metric {
-            Metric::OneWay => report.discovery.one_way(1, 0),
-            Metric::EitherWay => report.discovery.either_way(0, 1),
-            Metric::TwoWay => report.discovery.two_way(0, 1),
-        });
-        let elapsed = report.elapsed.max(Tick(1));
-        eta_acc += report.devices[0].eta_with_overheads(elapsed, &radio);
-        energy_acc += report.devices[0].energy_joules(&radio, spec.radio.prx_mw * 1e-3);
-        if job.has_role_b() {
-            // only role-typed jobs report per-role columns
-            eta_b_acc += report.devices[1].eta_with_overheads(elapsed, &radio);
-            energy_b_acc += report.devices[1].energy_joules(&radio, spec.radio.prx_mw * 1e-3);
-        }
-        collision_acc += report.packets.collision_rate();
-    }
+    pair_trial_loop(
+        &cfg,
+        spec.sim.trials,
+        metric,
+        |rng| {
+            let (phase_a, phase_b) = match job.phase {
+                Some(p) => (Tick::ZERO, p),
+                None => (random_phase(&sched_a, rng), random_phase(&sched_b, rng)),
+            };
+            let b = ScheduleBehavior::with_phase(sched_b.clone(), phase_b);
+            [
+                Box::new(ScheduleBehavior::with_phase(sched_a.clone(), phase_a)),
+                // a bare schedule keeps its steady period, so drift-free
+                // pairs can fast-forward (zero-ppm drift is transparent)
+                if job.drift_ppm == 0 {
+                    Box::new(b)
+                } else {
+                    Box::new(Drifting::ppm(b, job.drift_ppm))
+                },
+            ]
+        },
+        |latency, report| {
+            latencies.push(latency);
+            let elapsed = report.elapsed.max(Tick(1));
+            eta_acc += report.stats[0].eta_with_overheads(elapsed, &radio);
+            energy_acc += report.stats[0].energy_joules(&radio, spec.radio.prx_mw * 1e-3);
+            if job.has_role_b() {
+                // only role-typed jobs report per-role columns
+                eta_b_acc += report.stats[1].eta_with_overheads(elapsed, &radio);
+                energy_b_acc += report.stats[1].energy_joules(&radio, spec.radio.prx_mw * 1e-3);
+            }
+            collision_acc += report.packets.collision_rate();
+        },
+    );
 
     let summary = LatencySummary::from_latencies(&latencies);
     let trials = spec.sim.trials.max(1) as f64;
@@ -546,8 +547,6 @@ fn exec_netsim(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f64>, 
     let (predicted, horizon, deadline) = resolve_horizon(&classes, spec)?;
     let base_cfg = job.base_sim_config(spec);
     let radio = base_cfg.radio;
-    let period_a = schedule_period(&sched_a);
-    let period_b = schedule_period(&sched_b);
     let metric = match spec.metric {
         Metric::OneWay => PairMetric::OneWay,
         Metric::TwoWay => PairMetric::TwoWay,
@@ -575,12 +574,12 @@ fn exec_netsim(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f64>, 
         };
         let mut sim = NetSimulator::new(cfg, Topology::full(n));
         for i in 0..n {
-            let (sched, period, role) = if is_role_b(i) {
-                (&sched_b, period_b, &pair.b)
+            let (sched, role) = if is_role_b(i) {
+                (&sched_b, &pair.b)
             } else {
-                (&sched_a, period_a, &pair.a)
+                (&sched_a, &pair.a)
             };
-            let phase = random_phase(period, &mut rng);
+            let phase = random_phase(sched, &mut rng);
             let behavior = ScheduleBehavior::with_phase(sched.clone(), phase).labeled(role.label());
             let behavior: Box<dyn Behavior> = if job.drift_ppm == 0 {
                 Box::new(behavior)
@@ -685,21 +684,6 @@ fn exec_netsim(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f64>, 
         m.insert("predicted_s".to_string(), p.as_secs_f64());
     }
     Ok(m)
-}
-
-fn schedule_period(sched: &Schedule) -> Tick {
-    sched
-        .beacons
-        .as_ref()
-        .map(|b| b.period())
-        .into_iter()
-        .chain(sched.windows.as_ref().map(|w| w.period()))
-        .max()
-        .unwrap_or(Tick(1))
-}
-
-fn random_phase(period: Tick, rng: &mut StdRng) -> Tick {
-    Tick(rng.gen_range(0..period.as_nanos().max(1)))
 }
 
 #[cfg(test)]
@@ -874,7 +858,7 @@ mod tests {
         let s = spec(
             "backend = \"netsim\"\n\
              [grid]\nprotocol = [\"optimal-slotless\"]\neta = [0.10]\nnodes = [2, 4]\ncollision = [false, true]\n\
-             [sim]\ntrials = 4\nseed = 11\nhorizon_predicted_x = 3.0\n",
+             [sim]\ntrials = 4\nseed = 11\nhorizon_predicted_x = 3.0\nhalf_duplex = false\n",
         );
         let a = run_sweep(&s, &SweepOptions::uncached()).unwrap();
         let b = run_sweep(&s, &SweepOptions::uncached()).unwrap();
@@ -883,10 +867,12 @@ mod tests {
             assert!(ra.error.is_none(), "{:?}", ra.error);
             assert_eq!(ra.metrics, rb.metrics, "same spec → same results");
         }
-        // a collision-free pair of optimal schedules always completes,
-        // within the protocol's nominal guarantee (deterministically —
-        // with the collision channel on, an unlucky zero-drift phase can
-        // make two identical periodic schedules collide forever)
+        // a collision-free pair of optimal schedules on full-duplex radios
+        // (the paper's A.5 assumption) always completes, within the
+        // protocol's nominal guarantee (deterministically — with the
+        // collision channel or half-duplex blanking on, an unlucky
+        // zero-drift phase can make two identical periodic schedules
+        // collide or blank each other forever)
         let pair = &a.rows[0];
         assert_eq!(pair.param("nodes").unwrap().as_i64(), Some(2));
         assert_eq!(pair.param("collision").unwrap().as_bool(), Some(false));

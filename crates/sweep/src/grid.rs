@@ -128,7 +128,6 @@ impl Job {
                 spec.sim.collisions
             },
             drop_probability: self.drop_probability,
-            trace: false,
         }
     }
 

@@ -12,7 +12,7 @@
 //! 2. **The engine** ([`engine`]) — expands the grid into jobs
 //!    ([`grid`]), executes them across all cores ([`pool`]) with
 //!    deterministic per-job seeds derived from job *content*, and
-//!    aggregates latency/energy metrics from `nd-analysis` and `nd-sim`.
+//!    aggregates latency/energy metrics from `nd-analysis` and `nd-netsim`.
 //! 3. **A content-addressed result cache** ([`cache`]) — every job result
 //!    is stored under a SHA-256 of its resolved parameters and the engine
 //!    version, so re-runs and overlapping grids are near-free.

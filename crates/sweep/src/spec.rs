@@ -40,8 +40,11 @@ use std::fmt;
 /// changed seed derivation, changed metric definitions), so stale cache
 /// entries can never be served for new semantics. History: abi1 = initial
 /// engine, abi2 = netsim backend + cohort axes, abi3 = per-trial seeds
-/// derived via the audited `nd_core::seed::stream_seed` (SplitMix64).
-pub const ENGINE_VERSION: &str = concat!("nd-sweep/", env!("CARGO_PKG_VERSION"), "/abi3");
+/// derived via the audited `nd_core::seed::stream_seed` (SplitMix64),
+/// abi4 = Monte-Carlo trials run on `nd-netsim` (fault drops roll on
+/// per-receiver RNG streams; a run that reaches the horizon reports
+/// `elapsed = t_end`, which moves measured duty cycles and energy).
+pub const ENGINE_VERSION: &str = concat!("nd-sweep/", env!("CARGO_PKG_VERSION"), "/abi4");
 
 /// Spec loading/validation error.
 #[derive(Debug)]
@@ -66,8 +69,9 @@ pub enum Backend {
     /// case, mean, percentiles and undiscovered probability, all to the
     /// nanosecond, no sampling error.
     Exact,
-    /// Monte-Carlo campaigns on the discrete-event simulator (`nd-sim`):
-    /// collisions, drift, fault injection, measured energy.
+    /// Monte-Carlo campaigns on the discrete-event simulator (`nd-netsim`,
+    /// one always-on pair per trial): collisions, drift, fault injection,
+    /// measured energy.
     MonteCarlo,
     /// Closed-form fundamental bounds (`nd-core::bounds`): no schedules
     /// are built at all.

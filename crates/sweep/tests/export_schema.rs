@@ -90,7 +90,7 @@ fn golden_json_bytes() {
     }
   ],
   "schema": "nd-export/v1",
-  "spec_hash": "0adf7c7afab83f92b9a96cbea43431b30563c3c9d548a624893e43e46e56ac77"
+  "spec_hash": "cd07e4556a46402ccab3b35c2dfec4d43107f9bd4725b2288788d7893a21a73a"
 }
 "#;
     assert_eq!(to_json(&outcome()), expected);

@@ -12,9 +12,10 @@
 
 use optimal_nd::core::bounds::collision_probability;
 use optimal_nd::core::Tick;
+use optimal_nd::netsim::{NetSimulator, NodeSpec};
 use optimal_nd::protocols::optimal::{symmetric, OptimalParams};
 use optimal_nd::protocols::RoundJittered;
-use optimal_nd::sim::{ScheduleBehavior, SimConfig, Simulator, Topology};
+use optimal_nd::sim::{ScheduleBehavior, SimConfig, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,7 +45,7 @@ fn main() {
     for (label, jitter) in [("plain repetitive", false), ("round-jittered", true)] {
         let mut rng = StdRng::seed_from_u64(99);
         let cfg = SimConfig::paper_baseline(Tick(pair_worst.as_nanos() * 12), 1);
-        let mut sim = Simulator::new(cfg, Topology::full(n));
+        let mut sim = NetSimulator::new(cfg, Topology::full(n));
         let period = opt
             .schedule
             .windows
@@ -53,13 +54,15 @@ fn main() {
             .unwrap_or(Tick(1));
         for _ in 0..n {
             if jitter {
-                sim.add_device(Box::new(RoundJittered::new(opt.schedule.clone())));
+                sim.add_node(NodeSpec::always_on(Box::new(RoundJittered::new(
+                    opt.schedule.clone(),
+                ))));
             } else {
                 let phase = Tick(rng.gen_range(0..period.as_nanos()));
-                sim.add_device(Box::new(ScheduleBehavior::with_phase(
+                sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::with_phase(
                     opt.schedule.clone(),
                     phase,
-                )));
+                ))));
             }
         }
         sim.stop_when_all_discovered(true);

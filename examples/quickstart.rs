@@ -12,8 +12,9 @@
 use optimal_nd::analysis::{two_way_worst_case, AnalysisConfig};
 use optimal_nd::core::bounds::{optimal_beta, symmetric_bound};
 use optimal_nd::core::Tick;
+use optimal_nd::netsim::{NetSimulator, NodeSpec};
 use optimal_nd::protocols::optimal::{symmetric, OptimalParams};
-use optimal_nd::sim::{ScheduleBehavior, SimConfig, Simulator, Topology};
+use optimal_nd::sim::{ScheduleBehavior, SimConfig, Topology};
 
 fn main() {
     // --- 1. the question the paper answers ---------------------------
@@ -60,13 +61,15 @@ fn main() {
     let mut sim_cfg = SimConfig::paper_baseline(Tick(exact.as_nanos() * 2), 42);
     sim_cfg.collisions = false; // pair analysis: the paper's A.5 assumption
     sim_cfg.half_duplex = false;
-    let mut sim = Simulator::new(sim_cfg, Topology::full(2));
-    sim.add_device(Box::new(ScheduleBehavior::new(opt.schedule.clone())));
+    let mut sim = NetSimulator::new(sim_cfg, Topology::full(2));
+    sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::new(
+        opt.schedule.clone(),
+    ))));
     // the peer starts mid-period: a "random" phase
-    sim.add_device(Box::new(ScheduleBehavior::with_phase(
+    sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::with_phase(
         opt.schedule.clone(),
         Tick::from_micros(1234),
-    )));
+    ))));
     sim.stop_when_all_discovered(true);
     let report = sim.run();
     let two_way = report.discovery.two_way(0, 1).expect("discovered");

@@ -6,11 +6,12 @@
 //!
 //! * [`core`] (`nd-core`) — time base, schedules, coverage maps and every
 //!   fundamental bound derived in the paper.
-//! * [`sim`] (`nd-sim`) — discrete-event wireless simulator (radio model,
-//!   collision channel, fault injection).
-//! * [`netsim`] (`nd-netsim`) — the N-node cohort simulator on top of the
-//!   same channel model: join/leave churn, per-node drift and RNG
-//!   streams, first/median/full-cohort discovery metrics.
+//! * [`sim`] (`nd-sim`) — the simulation model: protocol behaviours,
+//!   radio and channel configuration, topology, drift, run statistics.
+//! * [`netsim`] (`nd-netsim`) — the discrete-event simulator that runs
+//!   it, from a single pair to N-node cohorts: join/leave churn,
+//!   per-node drift and RNG streams, first/median/full-cohort discovery
+//!   metrics.
 //! * [`protocols`] (`nd-protocols`) — the paper-optimal schedule
 //!   constructions plus every protocol the paper classifies (Disco,
 //!   U-Connect, Searchlight, difference codes, BLE-like PI, …).

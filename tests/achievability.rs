@@ -3,7 +3,7 @@
 //!
 //! These tests span all four crates: constructions from `nd-protocols`,
 //! exact verification from `nd-analysis`, bounds from `nd-core`, and a
-//! simulation spot-check through `nd-sim`.
+//! simulation spot-check through `nd-netsim`.
 
 use optimal_nd::analysis::montecarlo::{pair_trials, LatencySummary, PairMetric};
 use optimal_nd::analysis::{one_way_worst_case, two_way_worst_case, AnalysisConfig};
