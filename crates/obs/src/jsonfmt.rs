@@ -1,23 +1,8 @@
-//! Minimal JSON value formatting shared by the trace sink and the
-//! metrics snapshot (this crate is dependency-free by design, so it
-//! carries its own escaping).
-
-/// Append `s` as a JSON string literal (quotes included).
-pub(crate) fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+//! The float format shared by the trace sink and the metrics snapshot.
+//! It is f64's `{:?}`, while [`crate::value::Value`] writes `{}`; the
+//! two differ on some values (`1e-7` against `0.0000001`), so they stay
+//! separate to keep snapshot bytes unchanged. Strings go through
+//! [`crate::value`]'s escaper.
 
 /// Append an `f64` as a JSON number (`null` for non-finite values, which
 /// JSON cannot represent). Uses the shortest round-trip representation,
@@ -33,20 +18,6 @@ pub(crate) fn push_f64(out: &mut String, v: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn s(x: &str) -> String {
-        let mut out = String::new();
-        push_str(&mut out, x);
-        out
-    }
-
-    #[test]
-    fn escapes_specials() {
-        assert_eq!(s("a\"b"), r#""a\"b""#);
-        assert_eq!(s("a\\b"), r#""a\\b""#);
-        assert_eq!(s("a\nb"), r#""a\nb""#);
-        assert_eq!(s("\u{1}"), "\"\\u0001\"");
-    }
 
     #[test]
     fn floats_round_trip_or_null() {

@@ -2,18 +2,22 @@
 //! optimal-nd workspace.
 //!
 //! Three pillars, all hand-rolled on the standard library (this crate
-//! has no dependencies, vendored or otherwise):
+//! has no dependencies, vendored or otherwise), plus the shared
+//! JSON/TOML [`value`] tree:
 //!
 //! * [`trace`] — structured spans with monotonic timing, a thread-local
 //!   span stack and a JSONL sink (`ND_TRACE=path` or the CLIs'
 //!   `--trace-out`). The [`span!`] macro is the entry point.
 //! * [`metrics`] — a global registry of atomic counters, gauges and
 //!   log₂-scaled histograms, snapshot-able as deterministic-ordered
-//!   JSON (`nd-sweep report`, `nd-opt front --stats`,
+//!   JSON (`nd-sweep run --stats`, `nd-opt front --stats`,
 //!   `nd-sweep cache stats --json`).
 //! * [`progress`] — a slot-guarded stderr progress line with ETA,
 //!   driven by the sweep pool and the netsim event loop
 //!   (`ND_PROGRESS=1|0` overrides the is-a-terminal default).
+//! * [`value`] — a dynamic value tree with a strict TOML-subset parser
+//!   and a JSON reader/writer: the spec, cache and export format of
+//!   nd-sweep, nd-opt and nd-serve, and nd-trace's span-line reader.
 //!
 //! # Cost model
 //!
@@ -43,6 +47,7 @@ mod jsonfmt;
 pub mod metrics;
 pub mod progress;
 pub mod trace;
+pub mod value;
 
 pub use metrics::{HistogramData, Snapshot};
 pub use progress::Progress;

@@ -6,7 +6,7 @@
 //! [`observe`], …) starts with a single relaxed load of the global enable
 //! flag and returns immediately when metrics are disabled, so hot paths
 //! pay one predictable branch. Enable collection with
-//! [`set_enabled`]`(true)` (the CLIs do this for `nd-sweep report`,
+//! [`set_enabled`]`(true)` (the CLIs do this for `nd-sweep run --stats`,
 //! `nd-opt front --stats` and `cache stats --json`).
 //!
 //! Metric naming convention (see the README's Observability section for
@@ -25,7 +25,7 @@
 //! nd_obs::metrics::set_enabled(false);
 //! ```
 
-use crate::jsonfmt;
+use crate::{jsonfmt, value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
@@ -407,7 +407,7 @@ impl Drop for Timer {
 }
 
 /// Zero every registered metric (names stay registered). Tests and
-/// `nd-sweep report` call this to start from a clean slate.
+/// `nd-sweep run --stats` call this to start from a clean slate.
 pub fn reset() {
     let r = registry();
     for c in r.counters.read().unwrap().values() {
@@ -581,7 +581,7 @@ fn push_map<V>(out: &mut String, map: &BTreeMap<String, V>, fmt: impl Fn(&mut St
     for (k, v) in map {
         out.push_str(if first { "\n    " } else { ",\n    " });
         first = false;
-        jsonfmt::push_str(out, k);
+        value::write_json_string(out, k);
         out.push_str(": ");
         fmt(out, v);
     }

@@ -43,7 +43,7 @@
 //! into it. Content hashes, seeds and exported rows are byte-identical
 //! with tracing on or off (a regression test in nd-sweep pins this).
 
-use crate::jsonfmt;
+use crate::{jsonfmt, value};
 use std::cell::{Cell, RefCell};
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -296,7 +296,7 @@ impl Drop for Span {
 
         let mut line = String::with_capacity(128);
         line.push_str("{\"t\": \"span\", \"name\": ");
-        jsonfmt::push_str(&mut line, inner.name);
+        value::write_json_string(&mut line, inner.name);
         line.push_str(&format!(
             ", \"tid\": {}, \"start_ns\": {}, \"dur_ns\": {}, \"depth\": {}",
             inner.tid,
@@ -306,7 +306,7 @@ impl Drop for Span {
         ));
         if let Some(ctx) = &inner.ctx {
             line.push_str(", \"ctx\": ");
-            jsonfmt::push_str(&mut line, ctx);
+            value::write_json_string(&mut line, ctx);
         }
         if !inner.fields.is_empty() {
             line.push_str(", \"fields\": {");
@@ -314,10 +314,10 @@ impl Drop for Span {
                 if i > 0 {
                     line.push_str(", ");
                 }
-                jsonfmt::push_str(&mut line, k);
+                value::write_json_string(&mut line, k);
                 line.push_str(": ");
                 match v {
-                    FieldValue::Str(s) => jsonfmt::push_str(&mut line, s),
+                    FieldValue::Str(s) => value::write_json_string(&mut line, s),
                     FieldValue::U64(n) => line.push_str(&n.to_string()),
                     FieldValue::I64(n) => line.push_str(&n.to_string()),
                     FieldValue::F64(f) => jsonfmt::push_f64(&mut line, *f),

@@ -7,8 +7,10 @@
 //! strings, numbers, booleans, comments — and a complete JSON
 //! reader/writer (the cache and export format).
 //!
-//! Everything parses into [`Value`]; `spec.rs` maps that onto the typed
-//! [`crate::spec::ScenarioSpec`] with field validation.
+//! Everything parses into [`Value`]; nd-sweep's and nd-opt's spec
+//! modules map that onto their typed specs with field validation, and
+//! nd-trace reads span JSONL through [`parse_json`]. The JSON string
+//! escaper is shared with the span sink and the metrics snapshot.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -182,7 +184,8 @@ fn newline_indent(out: &mut String, level: usize) {
     }
 }
 
-fn write_json_string(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal (quotes included).
+pub(crate) fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -688,6 +691,15 @@ mod tests {
         let pretty = v.to_json_pretty();
         assert_eq!(parse_json(&compact).unwrap(), v);
         assert_eq!(parse_json(&pretty).unwrap(), v);
+    }
+
+    #[test]
+    fn json_strings_escape_specials() {
+        let s = |x: &str| Value::Str(x.to_string()).to_json();
+        assert_eq!(s("a\"b"), r#""a\"b""#);
+        assert_eq!(s("a\\b"), r#""a\\b""#);
+        assert_eq!(s("a\nb"), r#""a\nb""#);
+        assert_eq!(s("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

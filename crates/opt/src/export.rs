@@ -73,6 +73,12 @@ pub fn to_csv(outcome: &OptOutcome) -> String {
 
 /// Render the outcome as a self-describing JSON document.
 pub fn to_json(outcome: &OptOutcome) -> String {
+    to_value(outcome).to_json_pretty()
+}
+
+/// The outcome as the [`Value`] tree [`to_json`] renders (nd-serve
+/// answers from this tree without a render/parse round trip).
+pub fn to_value(outcome: &OptOutcome) -> Value {
     let fronts: Vec<Value> = outcome
         .fronts
         .iter()
@@ -152,7 +158,7 @@ pub fn to_json(outcome: &OptOutcome) -> String {
         Value::Str(outcome.latency_metric.clone()),
     );
     doc.insert("fronts".to_string(), Value::Array(fronts));
-    Value::Table(doc).to_json_pretty()
+    Value::Table(doc)
 }
 
 fn float_cell(f: f64) -> String {

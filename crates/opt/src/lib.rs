@@ -51,7 +51,7 @@ pub mod pareto;
 pub mod spec;
 
 pub use evaluator::{evaluator_for, screening_evaluator, Candidate, Evaluation, Evaluator};
-pub use export::{to_csv, to_json};
+pub use export::{to_csv, to_json, to_value};
 pub use optimizer::{
     censor_reason, run_opt, FrontPoint, FrontResult, OptError, OptOptions, OptOutcome,
     CORRUPT_CACHE,

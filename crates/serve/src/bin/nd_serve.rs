@@ -5,11 +5,11 @@
 //! ```
 
 use nd_opt::OptOptions;
-use nd_serve::{http, App, Pipeline, Planner, Stage};
+use nd_serve::{http, App, Health, Planner};
 use nd_sweep::{ResultCache, ENGINE_VERSION};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -60,8 +60,8 @@ ENDPOINTS:
     POST /v1/front     Pareto front per protocol
     POST /v1/best      best configuration within a duty-cycle budget
     POST /v1/gap       per-protocol gap-to-bound summary
-    GET  /healthz      liveness probe: version, engine, uptime, spool
-                       depth, stage-pipeline cycle gauges
+    GET  /healthz      liveness probe: version, engine, uptime, cache-GC
+                       cycle gauges
     GET  /v1/metrics   metrics snapshot (requires --stats); add
                        ?format=prometheus for text exposition with
                        p50/p95/p99 summaries
@@ -87,13 +87,10 @@ OPTIONS:
     --quiet            suppress the startup line and the per-request
                        access log (one JSON line per request on stderr)
 
-BACKGROUND PIPELINE (ingest → execute → prune):
-    --spool DIR        pick up nd-opt spec files dropped here, pre-warm
-                       cache and memo, delete them (bad files are
-                       renamed *.rejected)
-    --cache-max-bytes N  prune stage: LRU-evict the result cache to this
-                       budget per pass (suffixes K/M/G)
-    --stage-interval S seconds between pipeline passes (default: 60)
+BACKGROUND CACHE GC:
+    --cache-max-bytes N  LRU-evict the result cache to this budget on
+                       every pass (suffixes K/M/G; off when unset)
+    --stage-interval S seconds between GC passes (default: 60)
 
 OBSERVABILITY:
     --stats            enable the metrics registry: GET /v1/metrics
@@ -113,7 +110,6 @@ struct Cli {
     workers: usize,
     opts: OptOptions,
     memo_capacity: usize,
-    spool: Option<PathBuf>,
     cache_max_bytes: Option<u64>,
     stage_interval: Duration,
     stats: bool,
@@ -129,7 +125,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             ..OptOptions::default()
         },
         memo_capacity: 1024,
-        spool: None,
         cache_max_bytes: None,
         stage_interval: Duration::from_secs(60),
         stats: false,
@@ -151,7 +146,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--memo-capacity" => {
                 cli.memo_capacity = parse_pos(value("--memo-capacity")?, "--memo-capacity")?
             }
-            "--spool" => cli.spool = Some(PathBuf::from(value("--spool")?)),
             "--cache-max-bytes" => {
                 cli.cache_max_bytes = Some(parse_bytes(value("--cache-max-bytes")?)?)
             }
@@ -216,30 +210,24 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let addr = server.addr();
     let shutdown = Arc::new(AtomicBool::new(false));
 
-    let mut stages: Vec<Box<dyn Stage>> = Vec::new();
-    if let Some(spool) = &cli.spool {
-        stages.push(Box::new(nd_serve::IngestStage::new(spool.clone())));
-        stages.push(Box::new(nd_serve::ExecuteStage::new(Arc::clone(&planner))));
-    }
-    if let Some(max_bytes) = cli.cache_max_bytes {
-        if cli.opts.use_cache {
+    let health = Health::new();
+    let gc = match cli.cache_max_bytes {
+        Some(max_bytes) if cli.opts.use_cache => {
             let dir = cli
                 .opts
                 .cache_dir
                 .clone()
                 .unwrap_or_else(ResultCache::default_dir);
-            stages.push(Box::new(nd_serve::PruneStage::new(
+            Some(spawn_cache_gc(
                 ResultCache::at(dir),
                 max_bytes,
-            )));
+                cli.stage_interval,
+                Arc::clone(&health),
+                Arc::clone(&shutdown),
+            ))
         }
-    }
-    let health = nd_serve::Health::new(cli.spool.clone());
-    let pipeline = (!stages.is_empty()).then(|| {
-        Pipeline::new(stages)
-            .with_health(Arc::clone(&health))
-            .spawn(cli.stage_interval, Arc::clone(&shutdown))
-    });
+        _ => None,
+    };
 
     if !cli.quiet {
         println!(
@@ -257,7 +245,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         Arc::new(move |req: &http::Request| app.route(req)),
     );
 
-    if let Some(handle) = pipeline {
+    if let Some(handle) = gc {
         let _ = handle.join();
     }
     if cli.stats {
@@ -267,4 +255,35 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         println!("nd-serve: stopped");
     }
     ExitCode::SUCCESS
+}
+
+/// LRU-evict `cache` down to `max_bytes` every `interval` on a
+/// background thread until `shutdown` flips (checked once a second, so
+/// shutdown is prompt even with long intervals), marking each pass on
+/// `health` for `/healthz`. Join the returned handle on exit.
+fn spawn_cache_gc(
+    cache: ResultCache,
+    max_bytes: u64,
+    interval: Duration,
+    health: Arc<Health>,
+    shutdown: Arc<AtomicBool>,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || loop {
+        let mut waited = Duration::ZERO;
+        while waited < interval {
+            if shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            let step = Duration::from_secs(1).min(interval - waited);
+            std::thread::sleep(step);
+            waited += step;
+        }
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let _span = nd_obs::span!("serve.cache_gc");
+        let gc = cache.gc(max_bytes, false);
+        nd_obs::metrics::add("serve.pruned_bytes", gc.evicted_bytes);
+        health.mark_cycle();
+    })
 }

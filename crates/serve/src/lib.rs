@@ -22,11 +22,13 @@
 //!   same `pool::run_parallel` worker pool the CLIs use. The [`App`]
 //!   router adds per-request `serve.request` spans and per-endpoint
 //!   latency histograms.
-//! - **[`stages`]** — a background **ingest → execute → prune**
-//!   pipeline (layout after reth's staged sync): spool-directory spec
-//!   pickup, pre-warming execution, and cache GC as the prune stage.
 //! - **[`http`]** — the minimal HTTP/1.1 transport: keep-alive, bounded
 //!   bodies, a fixed worker pool off one accept loop.
+//!
+//! The `nd-serve` binary adds one background loop: with
+//! `--cache-max-bytes N` it LRU-evicts the shared result cache down to
+//! `N` bytes every `--stage-interval` seconds (`nd-sweep cache gc` on a
+//! timer). Pre-warming a spec is just a `POST /v1/front`.
 //!
 //! Start it and ask:
 //!
@@ -44,10 +46,6 @@
 pub mod api;
 pub mod http;
 pub mod service;
-pub mod stages;
 
 pub use api::{parse_request, success_body, ApiError, Endpoint, Request, API_VERSION};
 pub use service::{App, Computed, Health, Planner, Served};
-pub use stages::{
-    ExecuteStage, IngestStage, Pipeline, PruneStage, Stage, StageContext, StageReport,
-};

@@ -25,18 +25,18 @@
 use crate::api::{parse_request, ApiError, Endpoint, Request, API_VERSION};
 use crate::http;
 use nd_opt::{run_opt, OptOptions, OptSpec};
-use nd_sweep::value::{parse_json, Value};
+use nd_sweep::value::Value;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// A completed computation: the parsed `nd-export/v1` front document
-/// plus what producing it cost.
+/// A completed computation: the `nd-export/v1` front document plus what
+/// producing it cost.
 pub struct Computed {
-    /// The front document (`nd_opt::to_json` output, parsed).
+    /// The front document (`nd_opt::to_value`, the tree `nd_opt::to_json`
+    /// renders).
     pub doc: Value,
     /// Fresh backend evaluations the search executed.
     pub executed: usize,
@@ -187,10 +187,8 @@ impl Planner {
     fn compute(&self, spec: &OptSpec) -> Result<Arc<Computed>, ApiError> {
         let start = Instant::now();
         let outcome = run_opt(spec, &self.opts).map_err(|e| ApiError::from_opt_error(&e.0))?;
-        let doc = parse_json(&nd_opt::to_json(&outcome))
-            .map_err(|e| ApiError::Internal(format!("exporter emitted invalid JSON: {e}")))?;
         Ok(Arc::new(Computed {
-            doc,
+            doc: nd_opt::to_value(&outcome),
             executed: outcome.executed,
             cache_hits: outcome.cache_hits,
             wall_us: start.elapsed().as_micros() as u64,
@@ -351,47 +349,31 @@ fn gap_result(doc: &Value) -> Value {
 }
 
 /// Liveness state behind `/healthz`: build identity, uptime, and
-/// stage-pipeline gauges. Shared between the router (which reports it)
-/// and the [`crate::Pipeline`] (which marks completed passes).
+/// cache-GC loop gauges. Shared between the router (which reports it)
+/// and the daemon's background GC loop (which marks completed passes).
 pub struct Health {
     start: Instant,
-    /// Completed pipeline passes.
+    /// Completed GC passes.
     cycles: AtomicU64,
     /// Milliseconds from `start` to the last completed pass.
     last_cycle_ms: AtomicU64,
-    spool: Option<PathBuf>,
 }
 
 impl Health {
-    /// Fresh health state; `spool` is the ingest directory to report the
-    /// depth of (None when no pipeline is configured).
-    pub fn new(spool: Option<PathBuf>) -> Arc<Health> {
+    /// Fresh health state.
+    pub fn new() -> Arc<Health> {
         Arc::new(Health {
             start: Instant::now(),
             cycles: AtomicU64::new(0),
             last_cycle_ms: AtomicU64::new(0),
-            spool,
         })
     }
 
-    /// Record a completed pipeline pass (called by the pipeline loop).
+    /// Record a completed GC pass (called by the background loop).
     pub fn mark_cycle(&self) {
         self.last_cycle_ms
             .store(self.start.elapsed().as_millis() as u64, Ordering::Relaxed);
         self.cycles.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Pending (non-rejected) files in the spool; `None` when no spool
-    /// is configured.
-    fn spool_depth(&self) -> Option<i64> {
-        let spool = self.spool.as_ref()?;
-        let entries = std::fs::read_dir(spool).ok()?;
-        Some(
-            entries
-                .filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| p.is_file() && p.extension().is_none_or(|e| e != "rejected"))
-                .count() as i64,
-        )
     }
 
     /// The `/healthz` response body.
@@ -418,10 +400,6 @@ impl Health {
             ),
         ]);
         t.insert(
-            "spool_depth".to_string(),
-            self.spool_depth().map_or(Value::Null, Value::Int),
-        );
-        t.insert(
             "last_cycle_age_s".to_string(),
             if cycles == 0 {
                 Value::Null
@@ -439,15 +417,12 @@ impl Health {
 /// 16 hex digits from a SplitMix64 over (monotonic time, pid, sequence).
 fn generate_trace_id() -> String {
     static SEQ: AtomicU64 = AtomicU64::new(0);
-    let mut z = nd_obs::trace::now_ns()
+    let mix = nd_obs::trace::now_ns()
         ^ ((std::process::id() as u64) << 32)
         ^ SEQ
             .fetch_add(1, Ordering::Relaxed)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    format!("{:016x}", z ^ (z >> 31))
+    format!("{:016x}", nd_core::seed::splitmix64(mix))
 }
 
 /// The HTTP router: maps methods/paths to the planner and the control
@@ -467,20 +442,20 @@ impl App {
     /// Wire a router to a planner. `addr` is the server's own bound
     /// address (the shutdown handler pokes it to unblock the accept
     /// loop); `shutdown` is shared with [`http::Server::run`]. The
-    /// default health state has no spool and the access log is off —
+    /// router gets a fresh health state and the access log is off —
     /// see [`App::with_health`] / [`App::with_access_log`].
     pub fn new(planner: Arc<Planner>, shutdown: Arc<AtomicBool>, addr: SocketAddr) -> App {
         App {
             planner,
             shutdown,
             addr,
-            health: Health::new(None),
+            health: Health::new(),
             access_log: false,
         }
     }
 
-    /// Report `health` from `/healthz` (share it with the pipeline via
-    /// [`crate::Pipeline::with_health`]).
+    /// Report `health` from `/healthz` (share it with the GC loop, which
+    /// calls [`Health::mark_cycle`]).
     pub fn with_health(mut self, health: Arc<Health>) -> App {
         self.health = health;
         self

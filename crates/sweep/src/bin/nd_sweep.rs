@@ -4,11 +4,9 @@
 //! nd-sweep run <spec.toml> [--out-dir DIR] [--format csv|json|both]
 //!              [--threads N] [--no-cache] [--cache-dir DIR] [--quiet]
 //!              [--stats] [--trace-out FILE]
-//! nd-sweep report <spec.toml> [...]   # legacy spelling of `run --stats`
 //! nd-sweep expand <spec.toml>      # list the jobs a spec would run
 //! nd-sweep hash <spec.toml>        # print the spec's content hash
 //! nd-sweep protocols               # list registry protocol names
-//! nd-sweep trace-check <t.jsonl>   # validate a span trace
 //! ```
 
 use nd_sweep::{expand, run_sweep, ResultCache, ScenarioSpec, SweepOptions, ENGINE_VERSION};
@@ -22,17 +20,11 @@ fn main() -> ExitCode {
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..], false),
-        Some("report") => {
-            // old spelling of `run --stats`; keep it working, say so once
-            eprintln!("nd-sweep: note: `report` is now `run --stats` (behavior unchanged)");
-            cmd_run(&args[1..], true)
-        }
+        Some("run") => cmd_run(&args[1..]),
         Some("expand") => cmd_expand(&args[1..]),
         Some("hash") => cmd_hash(&args[1..]),
         Some("protocols") => cmd_protocols(),
         Some("cache") => cmd_cache(&args[1..]),
-        Some("trace-check") => cmd_trace_check(&args[1..]),
         Some("--version" | "-V" | "version") => {
             // one stable provenance line so scripted runs can record which
             // binary (and which cache ABI) produced their data
@@ -77,9 +69,6 @@ Backends:
 
 USAGE:
     nd-sweep run <spec.toml|spec.json> [OPTIONS]
-    nd-sweep report <spec> [OPTIONS]
-                                legacy spelling of `run --stats` (still
-                                works; prints a one-line notice on stderr)
     nd-sweep expand <spec>      list the jobs the spec expands to
     nd-sweep hash <spec>        print the spec's content hash
     nd-sweep protocols          list protocol registry names
@@ -91,15 +80,10 @@ USAGE:
                                 LRU-evict down to N bytes (suffixes K/M/G;
                                 recency = last cache hit; --dry-run only
                                 prints the reclaimable bytes)
-    nd-sweep trace-check <trace.jsonl> [--expect-cover FRAC]
-                                validate a JSONL span trace: every line must
-                                parse, spans must nest properly per thread;
-                                with --expect-cover, Σ dur(sweep.job) must be
-                                within [FRAC, 2−FRAC] of dur(sweep.run)
     nd-sweep --version          print version + engine/cache ABI, then exit
     nd-sweep --help             print this help, then exit
 
-OPTIONS (run, report):
+OPTIONS (run):
     --stats            run with metrics collection on and print a
                        deterministic JSON snapshot of the registry (cache
                        hit/miss, per-backend work, pool latency) to
@@ -141,14 +125,14 @@ fn positional(args: &[String]) -> Option<&String> {
 }
 
 /// `run` and `run --stats` share everything but metrics collection and
-/// where the summary goes: `--stats` (canonical across nd-sweep, nd-opt
-/// and nd-serve; `report` is the legacy spelling) turns the registry on,
-/// keeps stdout clean for the JSON snapshot (summary → stderr), and
-/// exports nothing unless a `--format` is given explicitly.
-fn cmd_run(args: &[String], stats: bool) -> ExitCode {
+/// where the summary goes: `--stats` (spelled the same across nd-sweep,
+/// nd-opt and nd-serve) turns the registry on, keeps stdout clean for
+/// the JSON snapshot (summary → stderr), and exports nothing unless a
+/// `--format` is given explicitly.
+fn cmd_run(args: &[String]) -> ExitCode {
     // single pass: flags consume their values, the remaining positional is
     // the spec path (so `run --threads 4 spec.toml` parses correctly)
-    let mut report = stats;
+    let mut stats = false;
     let mut opts = SweepOptions::default();
     let mut out_dir = PathBuf::from(".");
     let mut format: Option<String> = None;
@@ -158,7 +142,7 @@ fn cmd_run(args: &[String], stats: bool) -> ExitCode {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--no-cache" => opts.use_cache = false,
-            "--stats" => report = true,
+            "--stats" => stats = true,
             "--quiet" => quiet = true,
             "--threads" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => opts.threads = Some(n),
@@ -189,12 +173,12 @@ fn cmd_run(args: &[String], stats: bool) -> ExitCode {
             other => return fail(format!("unexpected argument `{other}`")),
         }
     }
-    let format = format.unwrap_or_else(|| if report { "none" } else { "both" }.to_string());
+    let format = format.unwrap_or_else(|| if stats { "none" } else { "both" }.to_string());
     let spec = match load_spec(spec_path) {
         Ok(s) => s,
         Err(e) => return fail(e),
     };
-    if report {
+    if stats {
         nd_obs::metrics::set_enabled(true);
         nd_obs::metrics::reset();
     }
@@ -205,7 +189,7 @@ fn cmd_run(args: &[String], stats: bool) -> ExitCode {
         Err(e) => {
             // the summary line appears on every post-spec path, so
             // pipelines always see what (if anything) ran and for how long
-            summary_line(report, quiet, &spec.name, 0, 0, 0, 0, start.elapsed(), None);
+            summary_line(stats, quiet, &spec.name, 0, 0, 0, 0, start.elapsed(), None);
             return fail(e);
         }
     };
@@ -213,7 +197,7 @@ fn cmd_run(args: &[String], stats: bool) -> ExitCode {
     // print the summary *before* attempting exports: an export failure
     // must not eat the run accounting
     summary_line(
-        report,
+        stats,
         quiet,
         &outcome.name,
         outcome.rows.len(),
@@ -253,7 +237,7 @@ fn cmd_run(args: &[String], stats: bool) -> ExitCode {
             }
         }
     }
-    if report {
+    if stats {
         // the machine-readable payload: stdout carries only this JSON
         print!("{}", nd_obs::metrics::snapshot().to_json());
     }
@@ -272,12 +256,12 @@ fn cmd_run(args: &[String], stats: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The final one-line run summary. In `report` mode it goes to stderr
+/// The final one-line run summary. With `--stats` it goes to stderr
 /// (stdout is reserved for the metrics snapshot); `--quiet` suppresses
 /// it entirely.
 #[allow(clippy::too_many_arguments)]
 fn summary_line(
-    report: bool,
+    stats: bool,
     quiet: bool,
     name: &str,
     jobs: usize,
@@ -300,7 +284,7 @@ fn summary_line(
     let line = format!(
         "{name}: {jobs} jobs ({cached} cached, {executed} executed, {failed} failed) in {wall:.2?}  {provenance}",
     );
-    if report {
+    if stats {
         eprintln!("{line}");
     } else {
         println!("{line}");
@@ -380,7 +364,7 @@ fn cmd_cache(args: &[String]) -> ExitCode {
             let stats = cache.stats();
             if json {
                 // route through the metrics registry so the snapshot shape
-                // matches `nd-sweep report` / `nd-opt --stats` output
+                // matches `nd-sweep run --stats` / `nd-opt --stats` output
                 nd_obs::metrics::set_enabled(true);
                 nd_obs::metrics::reset();
                 nd_obs::metrics::gauge_set("cache.entries", stats.entries as f64);
@@ -441,66 +425,6 @@ fn parse_bytes(s: &str) -> Option<u64> {
         _ => (s, 1),
     };
     digits.parse::<u64>().ok().and_then(|n| n.checked_mul(mult))
-}
-
-/// `trace-check`: validate a JSONL span trace and (optionally) bound the
-/// fraction of `sweep.run` wall-clock covered by `sweep.job` spans.
-fn cmd_trace_check(args: &[String]) -> ExitCode {
-    let mut expect_cover: Option<f64> = None;
-    let mut trace_path: Option<&String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--expect-cover" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(f) if (0.0..=1.0).contains(&f) => expect_cover = Some(f),
-                _ => return fail("--expect-cover needs a fraction in [0, 1]"),
-            },
-            other if other.starts_with("--") => return fail(format!("unknown flag `{other}`")),
-            _ if trace_path.is_none() => trace_path = Some(arg),
-            other => return fail(format!("unexpected argument `{other}`")),
-        }
-    }
-    let Some(path) = trace_path else {
-        return fail("missing <trace.jsonl> argument");
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return fail(format!("reading {path}: {e}")),
-    };
-    let report = match nd_sweep::tracecheck::check_trace(&text) {
-        Ok(r) => r,
-        Err(e) => return fail(format!("{path}: {e}")),
-    };
-    let cover_text = match report.job_cover {
-        Some(c) => format!("job cover {:.1}%", c * 100.0),
-        None => "no sweep.run span".to_string(),
-    };
-    println!(
-        "{path}: {} span(s) across {} thread(s), {} name(s); {cover_text}",
-        report.spans,
-        report.threads,
-        report.by_name.len(),
-    );
-    for (name, count) in &report.by_name {
-        println!(
-            "  {name}: {count} span(s), {} ns total",
-            report.dur_by_name[name]
-        );
-    }
-    if let Some(frac) = expect_cover {
-        // symmetric tolerance: cover must land within [frac, 2 − frac],
-        // so --expect-cover 0.9 means "within 10% of wall-clock"
-        let Some(cover) = report.job_cover else {
-            return fail("--expect-cover given, but the trace has no sweep.run span");
-        };
-        if cover < frac || cover > 2.0 - frac {
-            return fail(format!(
-                "job cover {cover:.4} outside the accepted window [{frac}, {:.4}]",
-                2.0 - frac
-            ));
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 fn cmd_protocols() -> ExitCode {

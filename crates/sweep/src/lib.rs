@@ -46,12 +46,12 @@ pub mod grid;
 pub mod hash;
 pub mod pool;
 pub mod spec;
-pub mod tracecheck;
-pub mod value;
 
 pub use cache::{CacheError, CacheStats, CachedResult, GcReport, ResultCache};
 pub use engine::{run_sweep, Row, SweepError, SweepOptions, SweepOutcome};
 pub use export::{to_csv, to_json, EXPORT_SCHEMA};
 pub use grid::{expand, Job};
+/// The JSON/TOML value tree, re-exported from nd-obs under its old path.
+pub use nd_obs::value;
 pub use spec::{Backend, Metric, ScenarioSpec, SpecError, ENGINE_VERSION};
 pub use value::Value;

@@ -81,8 +81,10 @@ fn nd_trace_changes_no_hashes_and_no_exports() {
     // and the trace itself is well-formed: parses as JSONL, spans nest,
     // and every job got a span
     let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-    let report = nd_sweep::tracecheck::check_trace(&text).expect("trace must validate");
-    assert_eq!(report.by_name["sweep.run"], 1);
-    assert_eq!(report.by_name["sweep.job"], 2);
-    assert_eq!(report.by_name["backend.exact"], 2);
+    let forest = nd_trace::build_forest(nd_trace::parse_trace(&text).expect("trace parses"));
+    nd_trace::check_nesting(&forest).expect("trace must validate");
+    let by_name = nd_trace::aggregate_by_name(&forest);
+    assert_eq!(by_name["sweep.run"].count, 1);
+    assert_eq!(by_name["sweep.job"].count, 2);
+    assert_eq!(by_name["backend.exact"].count, 2);
 }

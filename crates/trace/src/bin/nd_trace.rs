@@ -1,6 +1,7 @@
 //! The `nd-trace` CLI: analyse nd-obs span JSONL traces.
 //!
 //! ```text
+//! nd-trace check <t.jsonl> [--expect-cover FRAC]
 //! nd-trace critical-path <t.jsonl> [--min-attributed FRAC] [--ctx ID]
 //! nd-trace flame <t.jsonl> [--ctx ID] [--out FILE]
 //! nd-trace chrome <t.jsonl> [--ctx ID] [--out FILE]
@@ -8,8 +9,8 @@
 //! ```
 
 use nd_trace::{
-    build_forest, chrome_trace, critical_path, diff, filter_ctx, fmt_ns, folded_stacks,
-    parse_trace, SpanRec, TraceError,
+    aggregate_by_name, build_forest, check_nesting, chrome_trace, critical_path, diff, filter_ctx,
+    fmt_ns, folded_stacks, job_cover, parse_trace, SpanRec, TraceError,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -21,6 +22,12 @@ Produce a trace with `ND_TRACE=t.jsonl <cmd>` or the CLIs' `--trace-out`,
 then ask where the time went.
 
 USAGE:
+    nd-trace check <t.jsonl> [--expect-cover FRAC]
+        Validate a trace: every line parses, and every span's recorded
+        depth matches the per-thread tree rebuilt from its interval.
+        --expect-cover FRAC     also require Σ dur(sweep.job) to lie
+                                within [FRAC, 2−FRAC] of Σ dur(sweep.run)
+
     nd-trace critical-path <t.jsonl> [OPTIONS]
         Attribute the trace's wall-clock: dominant span chain plus a
         per-name self-time ranking.
@@ -45,7 +52,8 @@ USAGE:
 
 EXIT STATUS:
     0  analysis done, gates (if any) passed
-    1  a gate tripped (--min-attributed / --fail-on-regress)
+    1  a check or gate failed (check / --min-attributed /
+       --fail-on-regress)
     2  usage or I/O error
 ";
 
@@ -61,6 +69,7 @@ macro_rules! say {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
+        Some("check") => cmd_check(&args[1..]),
         Some("critical-path") => cmd_critical_path(&args[1..]),
         Some("flame") => cmd_flame(&args[1..]),
         Some("chrome") => cmd_chrome(&args[1..]),
@@ -84,6 +93,12 @@ fn main() -> ExitCode {
 fn fail(msg: impl std::fmt::Display) -> ExitCode {
     eprintln!("nd-trace: {msg}");
     ExitCode::from(2)
+}
+
+/// A failed check or gate: exit 1 (usage and I/O errors exit 2).
+fn gate_failed(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("nd-trace: {msg}");
+    ExitCode::FAILURE
 }
 
 /// Read and parse a trace file, applying the `--ctx` filter if set.
@@ -131,6 +146,71 @@ fn parse_f64(opt: Option<String>, flag: &str) -> Result<Option<f64>, TraceError>
     .transpose()
 }
 
+/// Distinct thread ordinals among `spans`.
+fn thread_count<'a>(spans: impl Iterator<Item = &'a SpanRec>) -> usize {
+    spans
+        .map(|s| s.tid)
+        .collect::<std::collections::BTreeSet<_>>()
+        .len()
+}
+
+fn cmd_check(args: &[String]) -> ExitCode {
+    let mut args = args.to_vec();
+    let expect_cover =
+        match take_opt(&mut args, "--expect-cover").and_then(|v| parse_f64(v, "--expect-cover")) {
+            Ok(f) if f.is_none_or(|f| (0.0..=1.0).contains(&f)) => f,
+            Ok(_) => return fail("--expect-cover needs a fraction in [0, 1]"),
+            Err(e) => return fail(e),
+        };
+    let [path] = args.as_slice() else {
+        return fail("check needs exactly one trace file (see --help)");
+    };
+    let text = match std::fs::read_to_string(Path::new(path)) {
+        Ok(t) => t,
+        Err(e) => return fail(format!("{path}: {e}")),
+    };
+    let forest = match parse_trace(&text).map(build_forest).and_then(|f| {
+        check_nesting(&f)?;
+        Ok(f)
+    }) {
+        Ok(f) => f,
+        Err(e) => return gate_failed(format!("{path}: {e}")),
+    };
+    let by_name = aggregate_by_name(&forest);
+    let cover = job_cover(&by_name);
+    say!(
+        "{path}: {} span(s) across {} thread(s), {} name(s); {}",
+        forest.nodes.len(),
+        thread_count(forest.nodes.iter().map(|n| &n.span)),
+        by_name.len(),
+        match cover {
+            Some(c) => format!("job cover {:.1}%", c * 100.0),
+            None => "no sweep.run span".to_string(),
+        }
+    );
+    for (name, stats) in &by_name {
+        say!(
+            "  {name}: {} span(s), {} ns total",
+            stats.count,
+            stats.total_ns
+        );
+    }
+    if let Some(frac) = expect_cover {
+        // symmetric tolerance: cover must land within [frac, 2 − frac],
+        // so --expect-cover 0.9 means "within 10% of wall-clock"
+        let Some(cover) = cover else {
+            return gate_failed("--expect-cover given, but the trace has no sweep.run span");
+        };
+        if cover < frac || cover > 2.0 - frac {
+            return gate_failed(format!(
+                "job cover {cover:.4} outside the accepted window [{frac}, {:.4}]",
+                2.0 - frac
+            ));
+        }
+    }
+    ExitCode::SUCCESS
+}
+
 fn cmd_critical_path(args: &[String]) -> ExitCode {
     let mut args = args.to_vec();
     let (min_attr, ctx) = match (|| {
@@ -154,12 +234,7 @@ fn cmd_critical_path(args: &[String]) -> ExitCode {
         ));
     }
     let n_spans = spans.len();
-    let n_tids = {
-        let mut tids: Vec<u64> = spans.iter().map(|s| s.tid).collect();
-        tids.sort_unstable();
-        tids.dedup();
-        tids.len()
-    };
+    let n_tids = thread_count(spans.iter());
     let forest = build_forest(spans);
     let cp = critical_path(&forest);
 
@@ -194,12 +269,11 @@ fn cmd_critical_path(args: &[String]) -> ExitCode {
     }
     if let Some(min) = min_attr {
         if cp.attributed_frac < min {
-            eprintln!(
-                "nd-trace: attribution gate FAILED: {:.1}% < {:.1}%",
+            return gate_failed(format!(
+                "attribution gate FAILED: {:.1}% < {:.1}%",
                 cp.attributed_frac * 100.0,
                 min * 100.0
-            );
-            return ExitCode::FAILURE;
+            ));
         }
         say!(
             "\nattribution gate passed: {:.1}% ≥ {:.1}%",
@@ -322,15 +396,14 @@ fn cmd_diff(args: &[String]) -> ExitCode {
     if let Some(pct) = fail_pct {
         if report.regressed() {
             let n = report.rows.iter().filter(|r| r.regressed).count();
-            eprintln!(
-                "nd-trace: regression gate FAILED (> +{pct}% growth): {n} name(s){}",
+            return gate_failed(format!(
+                "regression gate FAILED (> +{pct}% growth): {n} name(s){}",
                 if report.wall_regressed {
                     " + wall-clock"
                 } else {
                     ""
                 }
-            );
-            return ExitCode::FAILURE;
+            ));
         }
         say!("\nregression gate passed (≤ +{pct}% growth)");
     }

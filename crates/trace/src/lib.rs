@@ -3,17 +3,20 @@
 //! nd-obs writes one JSON line per closed span (`ND_TRACE=path` or the
 //! CLIs' `--trace-out`). This crate parses those lines back into
 //! per-thread span trees ([`build_forest`]) and answers the questions
-//! the write side cannot: where did the wall-clock go
-//! ([`critical_path`]), what does the whole run look like as a
-//! flamegraph ([`folded_stacks`]) or in a trace viewer
+//! the write side cannot: is the trace well formed ([`check_nesting`],
+//! [`job_cover`] — the `nd-trace check` CI gate), where did the
+//! wall-clock go ([`critical_path`]), what does the whole run look like
+//! as a flamegraph ([`folded_stacks`]) or in a trace viewer
 //! ([`chrome_trace`]), and did anything regress between two runs
 //! ([`diff`] — the `nd-trace diff --fail-on-regress` CI gate).
 //!
-//! Parsing is tolerant in both directions: unknown record types and
-//! unknown span fields are skipped, so older and newer traces both
-//! load. Tree building uses interval containment (not the recorded
-//! `depth`), so a trace filtered to one request id still forms valid
-//! trees even though the surviving spans' depths are sparse.
+//! Parsing is tolerant of additions: unknown record types and unknown
+//! span fields are skipped, so newer traces still load. Tree building
+//! uses interval containment (the recorded `depth` only orders spans
+//! that start together), so a trace filtered to one request id still
+//! forms valid trees even though the surviving spans' depths are
+//! sparse. On a whole trace the recorded depths must match the rebuilt
+//! trees exactly, which is what [`check_nesting`] verifies.
 //!
 //! Self-time — the quantity flamegraphs and the critical path report —
 //! is a span's duration minus the duration of its direct children
@@ -22,7 +25,7 @@
 
 #![warn(missing_docs)]
 
-use nd_sweep::value::{parse_json, Value};
+use nd_obs::value::{parse_json, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -49,8 +52,8 @@ pub struct SpanRec {
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Open-span count at entry (informational; trees are rebuilt from
-    /// intervals).
+    /// Open spans on this thread when this one started. Trees are
+    /// rebuilt from intervals; [`check_nesting`] compares the two.
     pub depth: u64,
     /// The trace context (request id) stamped on the span, if any.
     pub ctx: Option<String>,
@@ -71,8 +74,9 @@ fn get_u64(t: &BTreeMap<String, Value>, key: &str) -> Option<u64> {
 
 /// Parse span JSONL text into records. Lines whose record type `t` is
 /// not `"span"` are skipped (future record types); blank lines are
-/// ignored; malformed JSON or a span missing a required key is an
-/// error naming the line number.
+/// ignored; malformed JSON or a span missing a required key (`name`,
+/// `tid`, `start_ns`, `dur_ns`, `depth`) is an error naming the line
+/// number.
 pub fn parse_trace(text: &str) -> Result<Vec<SpanRec>, TraceError> {
     let mut out = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -98,7 +102,7 @@ pub fn parse_trace(text: &str) -> Result<Vec<SpanRec>, TraceError> {
             tid: get_u64(t, "tid").ok_or_else(|| missing("tid"))?,
             start_ns: get_u64(t, "start_ns").ok_or_else(|| missing("start_ns"))?,
             dur_ns: get_u64(t, "dur_ns").ok_or_else(|| missing("dur_ns"))?,
-            depth: get_u64(t, "depth").unwrap_or(0),
+            depth: get_u64(t, "depth").ok_or_else(|| missing("depth"))?,
             ctx: t.get("ctx").and_then(Value::as_str).map(str::to_string),
             fields: t.get("fields").cloned(),
         });
@@ -136,7 +140,9 @@ pub struct Forest {
 /// span is a child of the innermost earlier span on its thread whose
 /// `[start, end]` interval contains it. The recorded `depth` only
 /// breaks start-time ties, so subsets (e.g. one request id) still
-/// build correctly.
+/// build correctly. Spans with equal start and depth are siblings, and
+/// the one that ran first can only be the shorter (a zero-length span
+/// that closed as the next one opened), so those ties go shortest first.
 pub fn build_forest(spans: Vec<SpanRec>) -> Forest {
     let mut forest = Forest::default();
     if spans.is_empty() {
@@ -151,7 +157,7 @@ pub fn build_forest(spans: Vec<SpanRec>) -> Forest {
         by_tid.entry(s.tid).or_default().push(s);
     }
     for (_tid, mut group) in by_tid {
-        group.sort_by_key(|s| (s.start_ns, s.depth, std::cmp::Reverse(s.dur_ns)));
+        group.sort_by_key(|s| (s.start_ns, s.depth, s.dur_ns));
         let mut stack: Vec<usize> = Vec::new();
         for span in group {
             // Unwind to the innermost open span that contains this one.
@@ -194,6 +200,49 @@ pub fn filter_ctx(spans: Vec<SpanRec>, ctx: &str) -> Vec<SpanRec> {
         .into_iter()
         .filter(|s| s.ctx.as_deref() == Some(ctx))
         .collect()
+}
+
+// ---------------------------------------------------------------------------
+// check
+// ---------------------------------------------------------------------------
+
+/// Check that every span's recorded `depth` equals its depth in the
+/// rebuilt tree. This catches both a wrong depth and a child escaping
+/// its parent's interval ([`build_forest`] makes such a child a sibling
+/// or a root, so its tree depth is smaller). A trace with no spans is
+/// rejected too.
+pub fn check_nesting(forest: &Forest) -> Result<(), TraceError> {
+    if forest.nodes.is_empty() {
+        return Err(TraceError("trace contains no span records".into()));
+    }
+    let mut todo: Vec<(usize, u64)> = forest.roots.iter().rev().map(|&r| (r, 0)).collect();
+    while let Some((i, depth)) = todo.pop() {
+        let s = &forest.nodes[i].span;
+        if s.depth != depth {
+            return Err(TraceError(format!(
+                "tid {}: span `{}` at {} ns has depth {} but depth {depth} in the rebuilt tree \
+                 (a wrong depth, or a span escaping its parent)",
+                s.tid, s.name, s.start_ns, s.depth
+            )));
+        }
+        todo.extend(
+            forest.nodes[i]
+                .children
+                .iter()
+                .rev()
+                .map(|&c| (c, depth + 1)),
+        );
+    }
+    Ok(())
+}
+
+/// Job cover: Σ total(`sweep.job`) / Σ total(`sweep.run`), the share of
+/// sweep wall-clock spent inside per-job spans. `None` when the trace
+/// has no `sweep.run` time.
+pub fn job_cover(by_name: &BTreeMap<String, NameStats>) -> Option<f64> {
+    let total = |name: &str| by_name.get(name).map_or(0, |s| s.total_ns);
+    let run = total("sweep.run");
+    (run > 0).then(|| total("sweep.job") as f64 / run as f64)
 }
 
 // ---------------------------------------------------------------------------
@@ -531,6 +580,91 @@ mod tests {
             .unwrap_err()
             .0
             .contains("name"));
+    }
+
+    /// Parse, build and check a trace, as `nd-trace check` does.
+    fn check(text: &str) -> Result<Forest, TraceError> {
+        let forest = build_forest(parse_trace(text)?);
+        check_nesting(&forest)?;
+        Ok(forest)
+    }
+
+    #[test]
+    fn check_accepts_a_well_nested_trace() {
+        let trace = [
+            line("sweep.expand", 0, 10, 5, 1, None),
+            line("sweep.job", 0, 20, 30, 1, None),
+            line("sweep.job", 0, 55, 40, 1, None),
+            line("sweep.run", 0, 0, 100, 0, None),
+        ]
+        .join("\n");
+        let forest = check(&trace).unwrap();
+        assert_eq!(forest.nodes.len(), 4);
+        assert_eq!(forest.roots.len(), 1);
+        let by_name = aggregate_by_name(&forest);
+        assert_eq!(by_name["sweep.job"].count, 2);
+        assert_eq!(job_cover(&by_name), Some(0.7));
+    }
+
+    #[test]
+    fn check_rejects_wrong_depth() {
+        let trace = [line("a", 0, 0, 100, 0, None), line("b", 0, 10, 20, 2, None)].join("\n");
+        let err = check(&trace).unwrap_err().0;
+        assert!(err.contains("depth 2 but depth 1"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_child_escaping_parent() {
+        let trace = [line("a", 0, 0, 100, 0, None), line("b", 0, 90, 50, 1, None)].join("\n");
+        let err = check(&trace).unwrap_err().0;
+        assert!(err.contains("span `b`") && err.contains("depth 0"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_garbage_missing_fields_and_empty() {
+        assert!(check("not json\n").is_err());
+        assert!(check("{\"t\": \"span\"}\n").is_err());
+        let no_depth =
+            "{\"t\": \"span\", \"name\": \"a\", \"tid\": 0, \"start_ns\": 0, \"dur_ns\": 1}";
+        assert!(check(no_depth).unwrap_err().0.contains("depth"));
+        assert!(check("").unwrap_err().0.contains("no span records"));
+    }
+
+    #[test]
+    fn check_nests_threads_independently() {
+        // identical intervals on different threads are unrelated
+        let trace = [
+            line("a", 0, 0, 100, 0, None),
+            line("a", 1, 0, 100, 0, None),
+            line("b", 1, 10, 20, 1, None),
+        ]
+        .join("\n");
+        let forest = check(&trace).unwrap();
+        assert_eq!(forest.roots.len(), 2);
+        assert_eq!(
+            job_cover(&aggregate_by_name(&forest)),
+            None,
+            "no sweep.run span"
+        );
+    }
+
+    #[test]
+    fn zero_length_span_tied_with_a_sibling_nests_under_the_parent() {
+        // A closed at t=10 as its sibling B opened; both sit in P.
+        let trace = [
+            line("A", 0, 10, 0, 1, None),
+            line("B", 0, 10, 40, 1, None),
+            line("P", 0, 0, 100, 0, None),
+        ]
+        .join("\n");
+        let forest = check(&trace).unwrap();
+        let p = forest.nodes.iter().find(|n| n.span.name == "P").unwrap();
+        let children: Vec<&str> = p
+            .children
+            .iter()
+            .map(|&c| forest.nodes[c].span.name.as_str())
+            .collect();
+        assert_eq!(children, ["A", "B"]);
     }
 
     #[test]

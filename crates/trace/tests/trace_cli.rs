@@ -102,6 +102,12 @@ fn traced_sweep_end_to_end() {
     assert!(stdout.contains("sweep.run"));
     assert!(stdout.contains("attribution gate passed"));
 
+    // CLI: check validates the nesting and the per-job cover.
+    let (ok, stdout, stderr) = nd_trace(&["check", trace, "--expect-cover", "0.9"]);
+    assert!(ok, "check should pass: {stderr}");
+    assert!(stdout.contains("job cover"), "got: {stdout}");
+    assert!(stdout.contains("  sweep.job: 4 span(s)"), "got: {stdout}");
+
     // CLI: flame output is well-formed folded stacks.
     let (ok, folded, _) = nd_trace(&["flame", trace]);
     assert!(ok);
@@ -117,7 +123,7 @@ fn traced_sweep_end_to_end() {
     let (ok, _, stderr) = nd_trace(&["chrome", trace, "--out", chrome_path.to_str().unwrap()]);
     assert!(ok, "{stderr}");
     let chrome = std::fs::read_to_string(&chrome_path).unwrap();
-    let v = nd_sweep::value::parse_json(&chrome).unwrap();
+    let v = nd_obs::value::parse_json(&chrome).unwrap();
     let events = v.as_table().unwrap()["traceEvents"].as_array().unwrap();
     assert_eq!(events.len(), parse_trace(&text).unwrap().len());
 
@@ -152,6 +158,22 @@ fn cli_rejects_bad_usage() {
     assert!(!ok);
     assert!(stderr.contains("nonexistent"));
 
+    // check: a child escaping its parent fails validation
+    let bad = std::env::temp_dir().join(format!("nd-trace-bad-{}.jsonl", std::process::id()));
+    std::fs::write(
+        &bad,
+        "{\"t\": \"span\", \"name\": \"a\", \"tid\": 0, \"start_ns\": 0, \"dur_ns\": 100, \"depth\": 0}\n\
+         {\"t\": \"span\", \"name\": \"b\", \"tid\": 0, \"start_ns\": 90, \"dur_ns\": 50, \"depth\": 1}\n",
+    )
+    .unwrap();
+    let (ok, _, stderr) = nd_trace(&["check", bad.to_str().unwrap()]);
+    assert!(!ok);
+    assert!(stderr.contains("rebuilt tree"), "{stderr}");
+    let (ok, _, stderr) = nd_trace(&["check", bad.to_str().unwrap(), "--expect-cover", "1.5"]);
+    assert!(!ok);
+    assert!(stderr.contains("fraction"), "{stderr}");
+    let _ = std::fs::remove_file(&bad);
+
     let (ok, _, stderr) = nd_trace(&["frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("unknown command"));
@@ -159,4 +181,5 @@ fn cli_rejects_bad_usage() {
     let (ok, stdout, _) = nd_trace(&["--help"]);
     assert!(ok);
     assert!(stdout.contains("critical-path") && stdout.contains("--fail-on-regress"));
+    assert!(stdout.contains("--expect-cover"));
 }
